@@ -596,10 +596,11 @@ _CRITERIA = [
     criterion_7_cross_oracle,
     criterion_8_projective,
 ]
+CRITERIA = len(_CRITERIA)
 
 
 def run_criterion(number: int, seed: int | None = None) -> CriterionResult:
-    if not 1 <= number <= len(_CRITERIA):
+    if not 1 <= number <= CRITERIA:
         raise ValueError(f"no criterion {number}")
     return _CRITERIA[number - 1](_seed() if seed is None else seed)
 

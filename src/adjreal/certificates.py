@@ -34,14 +34,20 @@ class ReverserCertificate:
     @staticmethod
     def from_json(data) -> "ReverserCertificate":
         try:
-            return ReverserCertificate(
+            claim = data.get("claims_involution", False)
+            cert = ReverserCertificate(
                 element=ExactMatrix.from_json(data["element"]),
                 reverser=ExactMatrix.from_json(data["reverser"]),
                 context=LieContext.from_json(data["context"]),
-                claims_involution=bool(data.get("claims_involution", False)),
+                claims_involution=claim,
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad certificate JSON: {exc}") from exc
+        if not isinstance(claim, bool):
+            raise ParseError(
+                f"claims_involution must be a JSON boolean, got {claim!r}"
+            )
+        return cert
 
 
 @dataclass

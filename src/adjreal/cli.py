@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .acceptance import run_all, run_criterion
+from .acceptance import CRITERIA, run_all, run_criterion
 from .certificates import ReverserCertificate, verify_certificate
 from .errors import (
     AdjRealError,
@@ -116,6 +116,8 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.height < 1:
+        raise ParseError(f"--height must be at least 1, got {args.height}")
     mat, ctx = _matrix_and_context(args)
     try:
         outcome = search_reverser(mat, ctx, args.height, args.involution)
@@ -127,7 +129,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.criterion:
+    if args.criterion is not None:
+        if not 1 <= args.criterion <= CRITERIA:
+            raise ParseError(
+                f"--criterion must be in 1-{CRITERIA}, got {args.criterion}"
+            )
         results = [run_criterion(args.criterion, args.seed)]
     else:
         results = run_all(args.seed)
@@ -190,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
-    p.add_argument("--criterion", type=int, help="run a single criterion (1-8)")
+    p.add_argument("--criterion", type=int, help=f"run a single criterion (1-{CRITERIA})")
     p.add_argument("--seed", type=int, help="override the SEED environment variable")
     p.set_defaults(func=_cmd_selftest)
 

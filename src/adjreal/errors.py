@@ -54,5 +54,10 @@ class NotInCentralizer(AdjRealError):
     """Matrix fails to commute with the relevant sl2-triple."""
 
 
+class SelfCheckFailed(AdjRealError):
+    """A constructed result failed its own exact check, so it is not
+    returned; unlike an ``assert``, the check survives ``python -O``."""
+
+
 class SearchSpaceTooLarge(AdjRealError):
     """Brute-force enumeration would exceed the configured budget."""

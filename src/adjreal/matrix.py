@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over Q(i) and over Q(i)[x].
+"""Exact dense linear algebra over Q(i) and over Q(i)[x], plus a sparse
+solver for systems that are mostly zero.
 
 Everything here is deterministic: Gaussian elimination always takes the
 first nonzero pivot in column order, and the Smith-form reduction picks
@@ -238,13 +239,18 @@ class ExactMatrix:
             grid = data["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from exc
-        if len(grid) != rows:
+        if not isinstance(grid, list) or len(grid) != rows:
             raise ParseError("matrix JSON row count mismatch")
         flat = []
         for row in grid:
-            if len(row) != cols:
+            if not isinstance(row, list) or len(row) != cols:
                 raise ParseError("matrix JSON column count mismatch")
-            flat.extend(GaussRat.parse(s) for s in row)
+            for s in row:
+                if not isinstance(s, str):
+                    raise ParseError(
+                        f"matrix JSON entries must be strings, got {s!r}"
+                    )
+                flat.append(GaussRat.parse(s))
         return ExactMatrix(rows, cols, flat)
 
     def __repr__(self) -> str:
@@ -307,6 +313,62 @@ def solve_linear(a: ExactMatrix, b):
     for r, c in enumerate(pivots):
         particular[c] = rows[r][a.cols]
     return particular, _kernel_from_rref(rows, pivots, a.cols)
+
+
+def solve_sparse(columns, rhs):
+    """Solve sum_k x_k columns[k] = rhs exactly, for sparse columns and
+    right-hand side given as {row: value} maps of nonzero values.
+
+    Returns the particular solution ``solve_linear`` gives on the same
+    system (free variables set to zero), as a list.  Gauss-Jordan
+    elimination runs on sparse rows and keeps every pivot row reduced
+    against the other pivots.  The reduced row echelon form is unique,
+    so the pivot columns and the solution do not depend on the order in
+    which rows are taken.  Raises InconsistentSystem when no solution
+    exists.
+    """
+    ncols = len(columns)
+    rows: dict = {}
+    for k, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[k] = v
+    for r, v in rhs.items():
+        rows.setdefault(r, {})[ncols] = v
+    pivots: dict = {}  # pivot column -> row with 1 there, 0 in other pivots
+    # short rows first keeps fill-in low; the result is the same either way
+    for row in sorted(rows.values(), key=len):
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, c, pivots[c])
+        if not row:
+            continue
+        p = min(row)
+        if p == ncols:
+            raise InconsistentSystem("no solution")
+        inv = row.pop(p).inverse()
+        row = {k: v * inv for k, v in row.items()}
+        for prow in pivots.values():
+            if p in prow:
+                _eliminate(prow, p, row)
+        row[p] = ONE
+        pivots[p] = row
+    solution = [ZERO] * ncols
+    for p, row in pivots.items():
+        solution[p] = row.get(ncols, ZERO)
+    return solution
+
+
+def _eliminate(row: dict, c: int, prow: dict):
+    """row -= row[c] * prow in place, where prow has 1 in column c (its
+    pivot entry may be absent); drops the entries that cancel."""
+    f = row.pop(c)
+    for k, v in prow.items():
+        if k == c:
+            continue
+        new = row[k] - f * v if k in row else -(f * v)
+        if new.is_zero():
+            del row[k]
+        else:
+            row[k] = new
 
 
 def kernel(a: ExactMatrix):

@@ -26,6 +26,7 @@ from .errors import (
     NotRealizable,
     NotSemisimple,
     ParseError,
+    SelfCheckFailed,
     SizeMismatch,
     SpectrumNotSplit,
 )
@@ -386,7 +387,8 @@ def witness_semisimple(
         g = jn_matrix(ctx.n)
     cert = ReverserCertificate(x, g, ctx, want_involution)
     report = verify_certificate(cert)
-    assert report.ok, f"internal witness failure: {report.failures}"
+    if not report.ok:
+        raise SelfCheckFailed(f"internal witness failure: {report.failures}")
     return cert
 
 
@@ -509,7 +511,8 @@ def witness_general_semisimple(
     _require_semisimple_member(x, ctx)
     if x.is_zero():
         cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, want_involution)
-        assert verify_certificate(cert).ok
+        if not verify_certificate(cert).ok:
+            raise SelfCheckFailed("identity witness of the zero element failed")
         return cert
     eigen = _eigen_data(x)
     if ctx.algebra in ("gl", "sl"):
@@ -527,7 +530,10 @@ def witness_general_semisimple(
     g = s * inner.reverser * inverse(s)
     cert = ReverserCertificate(x, g, ctx, want_involution)
     report = verify_certificate(cert)
-    assert report.ok, f"general witness failed verification: {report.failures}"
+    if not report.ok:
+        raise SelfCheckFailed(
+            f"general witness failed verification: {report.failures}"
+        )
     return cert
 
 

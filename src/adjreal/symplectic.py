@@ -22,6 +22,7 @@ from .errors import (
     AlgebraMismatch,
     NotInCentralizer,
     NotNilpotent,
+    SelfCheckFailed,
     SizeMismatch,
     SpectrumNotSplit,
     ZeroElement,
@@ -32,9 +33,10 @@ from .liecore import LieContext, algebra_member, jn_matrix, kernel
 from .matrix import (
     ExactMatrix,
     char_poly,
+    det,
     inverse,
     is_nilpotent,
-    solve_linear,
+    solve_sparse,
 )
 from .polynomial import linear_roots
 from .semisimple import (
@@ -60,29 +62,32 @@ def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a * b - b * a
 
 
+def _sp_basis_entries(n: int):
+    """The basis of sp(n) behind ``sp_basis``, each element as its nonzero
+    entries {(row, col): +-1}: one or two unit entries."""
+    out = []
+    for p in range(n):
+        for q in range(n):
+            out.append({(p, q): ONE, (n + q, n + p): -ONE})
+    for p in range(n):
+        for q in range(p, n):
+            out.append({(p, n + q): ONE, (q, n + p): ONE})
+    for p in range(n):
+        for q in range(p, n):
+            out.append({(n + p, q): ONE, (n + q, p): ONE})
+    return out
+
+
 def sp_basis(n: int):
     """Deterministic basis of sp(n): blocks [[A, B], [C, -A^t]] with B, C
     symmetric."""
-    out = []
     size = 2 * n
-    for p in range(n):
-        for q in range(n):
-            m = [[ZERO] * size for _ in range(size)]
-            m[p][q] = ONE
-            m[n + q][n + p] = -ONE
-            out.append(ExactMatrix.from_rows(m))
-    for p in range(n):
-        for q in range(p, n):
-            m = [[ZERO] * size for _ in range(size)]
-            m[p][n + q] = ONE
-            m[q][n + p] = ONE
-            out.append(ExactMatrix.from_rows(m))
-    for p in range(n):
-        for q in range(p, n):
-            m = [[ZERO] * size for _ in range(size)]
-            m[n + p][q] = ONE
-            m[n + q][p] = ONE
-            out.append(ExactMatrix.from_rows(m))
+    out = []
+    for entries in _sp_basis_entries(n):
+        flat = [ZERO] * (size * size)
+        for (i, j), v in entries.items():
+            flat[i * size + j] = v
+        out.append(ExactMatrix(size, size, flat))
     return out
 
 
@@ -95,35 +100,80 @@ class Sl2Triple:
     y: ExactMatrix
 
     def validate(self):
-        two_x = self.x.scale(2)
-        assert _commutator(self.h, self.x) == two_x, "[H,X] != 2X"
-        assert _commutator(self.h, self.y) == self.y.scale(-2), "[H,Y] != -2Y"
-        assert _commutator(self.x, self.y) == self.h, "[X,Y] != H"
+        if _commutator(self.h, self.x) != self.x.scale(2):
+            raise SelfCheckFailed("[H,X] != 2X")
+        if _commutator(self.h, self.y) != self.y.scale(-2):
+            raise SelfCheckFailed("[H,Y] != -2Y")
+        if _commutator(self.x, self.y) != self.h:
+            raise SelfCheckFailed("[X,Y] != H")
 
     def to_json(self):
         return {"x": self.x.to_json(), "h": self.h.to_json(), "y": self.y.to_json()}
 
 
-def _solve_in_span(basis, operators, targets):
-    """Solve sum_i c_i * op(basis_i) = target for all (op, target) pairs;
-    returns the combined matrix (particular solution)."""
-    columns = []
-    for b in basis:
-        col = []
-        for op in operators:
-            col.extend(op(b).entries)
-        columns.append(col)
-    rhs = []
-    for t in targets:
-        rhs.extend(t.entries)
-    a = ExactMatrix.from_columns(columns)
-    coeffs, _ = solve_linear(a, list(rhs))
-    n = basis[0].rows
-    out = ExactMatrix.zeros(n)
+# Sparse matrices in the sl2 systems are {(row, col): value} maps of the
+# nonzero entries; a fixed operand M is indexed by row and by column.
+
+
+def _sparse(m: ExactMatrix) -> dict:
+    return {
+        (i, j): m[i, j]
+        for i in range(m.rows)
+        for j in range(m.cols)
+        if not m[i, j].is_zero()
+    }
+
+
+def _indexed(m: ExactMatrix):
+    by_row: dict = {}
+    by_col: dict = {}
+    for (i, j), v in _sparse(m).items():
+        by_row.setdefault(i, []).append((j, v))
+        by_col.setdefault(j, []).append((i, v))
+    return by_row, by_col
+
+
+def _bracket(a: dict, m) -> dict:
+    """[A, M] = AM - MA for sparse A and an indexed operand M."""
+    by_row, by_col = m
+    out: dict = {}
+    for (i, j), v in a.items():
+        for k, w in by_row.get(j, ()):
+            t = v * w
+            out[i, k] = out[i, k] + t if (i, k) in out else t
+        for k, w in by_col.get(i, ()):
+            t = w * v
+            out[k, j] = out[k, j] - t if (k, j) in out else -t
+    return {ij: v for ij, v in out.items() if not v.is_zero()}
+
+
+def _solve_in_sp(n: int, equations, target: dict) -> ExactMatrix:
+    """Particular solution w = sum_k c_k b_k over the basis of sp(n) of the
+    linear system equations(w) = (target, 0, ..., 0).
+
+    ``equations`` maps a sparse basis element to the list of sparse
+    matrices it contributes, one per equation block; the columns are
+    assembled and solved sparsely.  Free coefficients are zero, as with
+    ``solve_linear`` on the dense system.
+    """
+    size = 2 * n
+    block = size * size
+
+    def flatten(mats):
+        col = {}
+        for t, m in enumerate(mats):
+            for (i, j), v in m.items():
+                col[t * block + i * size + j] = v
+        return col
+
+    basis = _sp_basis_entries(n)
+    coeffs = solve_sparse([flatten(equations(b)) for b in basis], flatten([target]))
+    flat = [ZERO] * block
     for c, b in zip(coeffs, basis):
         if not c.is_zero():
-            out = out + b.scale(c)
-    return out
+            for (i, j), v in b.items():
+                flat[i * size + j] = flat[i * size + j] + c * v
+    return ExactMatrix(size, size, flat)
 
 
 def sl2_triple(x: ExactMatrix, commute_with=()) -> Sl2Triple:
@@ -131,34 +181,41 @@ def sl2_triple(x: ExactMatrix, commute_with=()) -> Sl2Triple:
 
     H is found in the image of ad(X) restricted to sp (intersected with
     the centralizer of every matrix in ``commute_with``), which guarantees
-    a completing Y; both steps are plain linear algebra.
+    a completing Y; both steps are plain linear algebra.  The systems
+    [[X,W],X] = 2X, [[X,W],S] = 0, [W,S] = 0 for W and [X,Y] = H,
+    [H,Y] + 2Y = 0, [Y,S] = 0 for Y are written as [[W,X],X] = -2X and
+    [Y,X] = -H, [Y,H] - 2Y = 0 (same solutions) and built sparsely.
     """
     ctx = _sp_context(x)
     if x.is_zero():
         raise ZeroElement("the zero element generates no sl2-triple")
     if not is_nilpotent(x):
         raise NotNilpotent("sl2-triples require a nilpotent element")
-    basis = sp_basis(ctx.n)
-    two_x = x.scale(2)
-    zero = ExactMatrix.zeros(x.rows)
-    ops = [lambda w: _commutator(_commutator(x, w), x)]
-    targets = [two_x]
-    for s in commute_with:
-        ops.append(lambda w, s=s: _commutator(_commutator(x, w), s))
-        targets.append(zero)
-        ops.append(lambda w, s=s: _commutator(w, s))
-        targets.append(zero)
-    w = _solve_in_span(basis, ops, targets)
+    xi = _indexed(x)
+    others = [_indexed(s) for s in commute_with]
+
+    def w_equations(b):
+        bx = _bracket(b, xi)
+        out = [_bracket(bx, xi)]
+        for s in others:
+            out += [_bracket(bx, s), _bracket(b, s)]
+        return out
+
+    w = _solve_in_sp(ctx.n, w_equations, _sparse(x.scale(-2)))
     h = _commutator(x, w)
-    ops_y = [
-        lambda yy: _commutator(x, yy),
-        lambda yy: _commutator(h, yy) + yy.scale(2),
-    ]
-    targets_y = [h, zero]
-    for s in commute_with:
-        ops_y.append(lambda yy, s=s: _commutator(yy, s))
-        targets_y.append(zero)
-    y = _solve_in_span(basis, ops_y, targets_y)
+    hi = _indexed(h)
+
+    def y_equations(b):
+        bh = _bracket(b, hi)
+        for ij, v in b.items():
+            t = v * 2
+            bh[ij] = bh[ij] - t if ij in bh else -t
+        out = [_bracket(b, xi), {ij: v for ij, v in bh.items() if not v.is_zero()}]
+        for s in others:
+            out.append(_bracket(b, s))
+        return out
+
+    y = _solve_in_sp(ctx.n, y_equations, _sparse(-h))
     triple = Sl2Triple(x, h, y)
     triple.validate()
     return triple
@@ -205,17 +262,17 @@ class SymplecticChainData:
         raise KeyError(d)
 
     def validate(self):
-        assert sum(self.partition()) == 2 * self.n
+        if sum(self.partition()) != 2 * self.n:
+            raise SelfCheckFailed("chain lengths do not add up to 2n")
         for d in self.parts:
-            t = self.counts[d]
             g = self.gram[d]
             sign = -ONE if d % 2 else ONE
-            assert g.transpose() == g.scale(sign), "Gram parity violated"
-            if d % 2:
-                assert t % 2 == 0, "odd chain length with odd chain count"
-            from .matrix import det as _det
-
-            assert not _det(g).is_zero(), "degenerate chain form"
+            if g.transpose() != g.scale(sign):
+                raise SelfCheckFailed("Gram parity violated")
+            if d % 2 and self.counts[d] % 2:
+                raise SelfCheckFailed("odd chain length with odd chain count")
+            if det(g).is_zero():
+                raise SelfCheckFailed("degenerate chain form")
 
     def to_json(self):
         return {
@@ -244,10 +301,10 @@ def chain_decomposition(triple: Sl2Triple) -> SymplecticChainData:
     size = x.rows
     n = size // 2
     weights, cofactor = linear_roots(char_poly(h))
-    assert cofactor.degree() <= 0, "weights must split over Q(i)"
-    assert all(
-        w.im == 0 and int(w.re.denominator) == 1 for w in weights
-    ), "weights must be integers"
+    if cofactor.degree() > 0:
+        raise SelfCheckFailed("weights must split over Q(i)")
+    if not all(w.im == 0 and int(w.re.denominator) == 1 for w in weights):
+        raise SelfCheckFailed("weights must be integers")
     lowest = sorted(
         {w for w in weights if w.re <= 0}, key=GaussRat.lex_key
     )
@@ -363,13 +420,11 @@ def build_tau(xsd_map: dict, cd: SymplecticChainData) -> ExactMatrix:
             tau_blocks[d] = ExactMatrix.identity(t)
             continue
         tau_blocks[d] = _form_relative_reverser(xsd, pairing, t, odd=d % 2 == 1)
-        assert (
-            tau_blocks[d] * xsd + xsd * tau_blocks[d]
-        ).is_zero(), "tau block fails to reverse"
+        if not (tau_blocks[d] * xsd + xsd * tau_blocks[d]).is_zero():
+            raise SelfCheckFailed("tau block fails to reverse")
         g = cd.gram[d]
-        assert tau_blocks[d].transpose() * g * tau_blocks[d] == g, (
-            "tau block breaks the chain form"
-        )
+        if tau_blocks[d].transpose() * g * tau_blocks[d] != g:
+            raise SelfCheckFailed("tau block breaks the chain form")
     diag_blocks = []
     for d in cd.parts:
         for _ in range(d):
@@ -399,7 +454,8 @@ def _form_relative_reverser(
             continue
         us = kernel(xsd - ident.scale(lam))
         ws_raw = kernel(xsd + ident.scale(lam))
-        assert len(us) == len(ws_raw), "asymmetric eigenspaces in sp block"
+        if len(us) != len(ws_raw):
+            raise SelfCheckFailed("asymmetric eigenspaces in sp block")
         ws = _dual_basis(us, ws_raw, pairing, ONE)
         for u, w in zip(us, ws):
             columns.append(u)
@@ -437,13 +493,16 @@ def reverse_full(x: ExactMatrix) -> ReverserCertificate:
         triple = sl2_triple(xn, commute_with=(xs,))
         cd = chain_decomposition(triple)
         sigma = build_sigma(cd)
-        assert (sigma * xs - xs * sigma).is_zero(), "sigma must fix X_s"
+        if not (sigma * xs - xs * sigma).is_zero():
+            raise SelfCheckFailed("sigma must fix X_s")
         tau = build_tau(restrict_semisimple(xs, cd), cd)
-        assert (tau * xn - xn * tau).is_zero(), "tau must fix X_n"
+        if not (tau * xn - xn * tau).is_zero():
+            raise SelfCheckFailed("tau must fix X_n")
         g = sigma * tau
     cert = ReverserCertificate(x, g, ctx, False)
     report = verify_certificate(cert)
-    assert report.ok, f"symplectic reverser failed: {report.failures}"
+    if not report.ok:
+        raise SelfCheckFailed(f"symplectic reverser failed: {report.failures}")
     return cert
 
 

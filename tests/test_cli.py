@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from adjreal.cli import main
 from adjreal.gaussian import gr
 from adjreal.matrix import ExactMatrix
@@ -172,3 +174,35 @@ def test_matrix_round_trip_canonical_strings(tmp_path, capsys):
     code, payload = _run_main(capsys, ["jordan", "--matrix", mfile])
     assert code == 0
     assert ExactMatrix.from_json(payload["semisimple_part"]) == x
+
+
+_ROTATION_CERT = json.dumps({
+    "element": {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "-1"]]},
+    "reverser": {"rows": 2, "cols": 2, "entries": [["0", "1"], ["-1", "0"]]},
+    "context": {"algebra": "sl", "group": "SL", "n": 2},
+    "claims_involution": "false",
+})
+_SP1_ARGS = ["--ctx", '{"algebra":"sp","group":"Sp","n":1}',
+             "--matrix", '{"rows":2,"cols":2,"entries":[["3","0"],["0","-3"]]}']
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", _ROTATION_CERT],
+        ["jordan", "--matrix", '{"rows":2,"cols":2,"entries":[[1,0],[0,-1]]}'],
+        ["selftest", "--criterion", "9"],
+        ["selftest", "--criterion", "0"],
+        ["search", *_SP1_ARGS, "--height", "-1"],
+        ["search", *_SP1_ARGS, "--height", "0"],
+    ],
+    ids=["claim-string", "integer-entries", "criterion-9", "criterion-0",
+         "height-minus-1", "height-0"],
+)
+def test_bad_input_is_a_json_parse_error(argv):
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert json.loads(run.stdout)["error"] == "ParseError"

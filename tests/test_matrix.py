@@ -19,6 +19,7 @@ from adjreal.matrix import (
     similar_to_negative,
     smith_invariant_factors,
     solve_linear,
+    solve_sparse,
 )
 from adjreal.oracle import rcf_similar
 from adjreal.polynomial import ExactPoly, poly_gcd
@@ -54,6 +55,36 @@ def test_solve_inconsistent():
     a = ExactMatrix.from_rows([[1, 1], [1, 1]])
     with pytest.raises(InconsistentSystem):
         solve_linear(a, [ONE, ZERO])
+
+
+def _sparse_columns(a):
+    return [
+        {i: v for i, v in enumerate(a.column(j)) if not v.is_zero()}
+        for j in range(a.cols)
+    ]
+
+
+def test_solve_sparse_matches_dense_particular_solution(rng):
+    """Random sparse, rank-deficient systems: the sparse solve returns
+    the dense particular solution and agrees on inconsistency."""
+    pool = [ZERO] * 6 + list(SMALL_SCALARS[1:])
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        a = ExactMatrix.from_rows(
+            [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+        )
+        if rng.random() < 0.5:  # consistent by construction
+            b = a.mul_vector([rng.choice(pool) for _ in range(cols)])
+        else:
+            b = [rng.choice(pool) for _ in range(rows)]
+        rhs = {i: v for i, v in enumerate(b) if not v.is_zero()}
+        try:
+            expected, _ = solve_linear(a, b)
+        except InconsistentSystem:
+            with pytest.raises(InconsistentSystem):
+                solve_sparse(_sparse_columns(a), rhs)
+            continue
+        assert solve_sparse(_sparse_columns(a), rhs) == expected
 
 
 def test_invariant_factors_distinct_diag():

@@ -1,13 +1,19 @@
 """sl2-triples, chain data, the sigma/tau factors, and full reversal."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import adjreal
 from adjreal.certificates import verify_certificate
 from adjreal.errors import NotInCentralizer, NotNilpotent, ZeroElement
 from adjreal.gaussian import I, ONE, gr
 from adjreal.liecore import LieContext, algebra_member, jn_matrix
-from adjreal.matrix import ExactMatrix, det, inverse
+from adjreal.matrix import ExactMatrix, det, inverse, solve_linear
 from adjreal.symplectic import (
+    Sl2Triple,
     build_sigma,
     build_tau,
     chain_decomposition,
@@ -43,6 +49,103 @@ def test_triple_for_two_two_partition():
     x = nilpotent_from_partition([2, 2])
     t = sl2_triple(x)
     t.validate()
+
+
+def _commutator(a, b):
+    return a * b - b * a
+
+
+def _dense_solve_in_span(basis, operators, targets):
+    """Reference: solve sum_i c_i * op(basis_i) = target for all (op,
+    target) pairs by a dense system; returns the particular solution."""
+    columns = []
+    for b in basis:
+        col = []
+        for op in operators:
+            col.extend(op(b).entries)
+        columns.append(col)
+    rhs = []
+    for t in targets:
+        rhs.extend(t.entries)
+    coeffs, _ = solve_linear(ExactMatrix.from_columns(columns), rhs)
+    out = ExactMatrix.zeros(basis[0].rows)
+    for c, b in zip(coeffs, basis):
+        if not c.is_zero():
+            out = out + b.scale(c)
+    return out
+
+
+def _dense_sl2_triple(x, commute_with=()):
+    """Reference: the sl2 systems assembled from dense commutators with
+    every sp_basis matrix, as sl2_triple once built them."""
+    basis = sp_basis(x.rows // 2)
+    zero = ExactMatrix.zeros(x.rows)
+    ops = [lambda w: _commutator(_commutator(x, w), x)]
+    targets = [x.scale(2)]
+    for s in commute_with:
+        ops.append(lambda w, s=s: _commutator(_commutator(x, w), s))
+        targets.append(zero)
+        ops.append(lambda w, s=s: _commutator(w, s))
+        targets.append(zero)
+    h = _commutator(x, _dense_solve_in_span(basis, ops, targets))
+    ops_y = [
+        lambda yy: _commutator(x, yy),
+        lambda yy: _commutator(h, yy) + yy.scale(2),
+    ]
+    targets_y = [h, zero]
+    for s in commute_with:
+        ops_y.append(lambda yy, s=s: _commutator(yy, s))
+        targets_y.append(zero)
+    return x, h, _dense_solve_in_span(basis, ops_y, targets_y)
+
+
+def test_sparse_triple_matches_dense_reference_on_nilpotents():
+    for total in (2, 4, 6, 8):
+        for parts in symplectic_partitions(total):
+            if max(parts) == 1:
+                continue
+            x = nilpotent_from_partition(parts)
+            t = sl2_triple(x)
+            assert (t.x, t.h, t.y) == _dense_sl2_triple(x), parts
+
+
+@pytest.mark.parametrize(
+    "parts, params",
+    [
+        ([2, 2], {2: [gr(3)]}),
+        ([3, 3], {3: [gr(2)]}),
+        ([2, 2, 1, 1], {2: [gr(4)], 1: [gr(1)]}),
+        ([4, 4], {4: [I]}),
+        ([3, 3, 2], {3: [gr("1/2")]}),
+        ([2, 2, 2, 2], {2: [gr(1), gr(-2)]}),
+    ],
+)
+def test_sparse_triple_matches_dense_reference_on_mixed(parts, params):
+    x, xs, xn = mixed_from_partition(parts, params)
+    t = sl2_triple(xn, commute_with=(xs,))
+    assert (t.x, t.h, t.y) == _dense_sl2_triple(xn, commute_with=(xs,))
+
+
+def test_validate_raises_typed_error_under_optimize():
+    """The triple's self-check is not an assert: python -O keeps it."""
+    code = (
+        "from adjreal.errors import SelfCheckFailed\n"
+        "from adjreal.symplectic import Sl2Triple, nilpotent_from_partition, sl2_triple\n"
+        "t = sl2_triple(nilpotent_from_partition([2]))\n"
+        "bad = Sl2Triple(t.x, t.h.scale(2), t.y)\n"
+        "try:\n"
+        "    bad.validate()\n"
+        "except SelfCheckFailed as exc:\n"
+        "    print(__debug__, 'SelfCheckFailed', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(adjreal.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("False SelfCheckFailed"), run.stdout
 
 
 def test_triple_rejects_zero_and_non_nilpotent():
@@ -228,6 +331,13 @@ def test_reverse_full_semisimple_rank_one():
 def test_reverse_full_mixed():
     x, xs, xn = mixed_from_partition([2, 2], {2: [gr(3)]})
     cert = reverse_full(x)
+    assert verify_certificate(cert).ok
+
+
+def test_reverse_full_mixed_size_sixteen():
+    x, xs, xn = mixed_from_partition([4, 4, 4, 4], {4: [gr(1), gr(2)]})
+    cert = reverse_full(x)
+    assert cert.reverser.rows == 16
     assert verify_certificate(cert).ok
 
 

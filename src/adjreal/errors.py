@@ -46,10 +46,6 @@ class SpectrumNotSplit(AdjRealError):
     be assembled over the ground field."""
 
 
-class FieldExtensionRequired(AdjRealError):
-    """A construction would need a square root outside Q(i)."""
-
-
 class NotInCentralizer(AdjRealError):
     """Matrix fails to commute with the relevant sl2-triple."""
 

@@ -12,6 +12,7 @@ and friends); :func:`GaussRat.parse` and ``str()`` round-trip it.
 from __future__ import annotations
 
 import os
+import re
 
 from .errors import ParseError
 
@@ -31,6 +32,19 @@ def rational(num=0, den=1):
 _R_ZERO = _Q(0)
 _R_ONE = _Q(1)
 
+# a/b with ASCII digits; the imaginary part is c/d*i or a bare i
+_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+_IMAGINARY = rf"(?:({_RATIONAL})\s*\*\s*)?i"
+_SCALAR = re.compile(
+    rf"\s*(?:([+-]?)\s*({_RATIONAL})(?:\s*([+-])\s*{_IMAGINARY})?"
+    rf"|([+-]?)\s*{_IMAGINARY})\s*"
+)
+
+
+def _signed_rational(sign: str, digits: str):
+    value = _Q(digits)
+    return -value if sign == "-" else value
+
 
 class GaussRat:
     """Immutable Gaussian rational re + im*i with exact arithmetic."""
@@ -49,46 +63,25 @@ class GaussRat:
 
     @staticmethod
     def parse(text: str) -> "GaussRat":
-        """Parse the ``a/b+c/d*i`` grammar (also accepts bare ``i``/``-i``)."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ParseError("empty scalar string")
-        # split into at most two signed terms (sign at position 0 belongs
-        # to the first term)
-        terms = []
-        start = 0
-        for k in range(1, len(s)):
-            if s[k] in "+-" and s[k - 1] not in "+-/*":
-                terms.append(s[start:k])
-                start = k
-        terms.append(s[start:])
-        if len(terms) > 2:
+        """Parse the ``a/b+c/d*i`` grammar: a real part ``a/b``, an
+        imaginary part ``c/d*i``, or both joined by their sign.  A unit
+        imaginary coefficient may be left out (``i``, ``-i``) and spaces
+        may surround the parts; nothing else is accepted."""
+        m = _SCALAR.fullmatch(text) if isinstance(text, str) else None
+        if m is None:
             raise ParseError(f"not a Gaussian rational: {text!r}")
-        re = im = _R_ZERO
-        seen_im = seen_re = False
-        for term in terms:
-            try:
-                if term.endswith("i"):
-                    if seen_im:
-                        raise ParseError(f"two imaginary terms in {text!r}")
-                    seen_im = True
-                    body = term[:-1]
-                    if body.endswith("*"):
-                        body = body[:-1]
-                    if body in ("", "+"):
-                        im = _R_ONE
-                    elif body == "-":
-                        im = -_R_ONE
-                    else:
-                        im = _Q(body.lstrip("+"))
-                else:
-                    if seen_re:
-                        raise ParseError(f"two real terms in {text!r}")
-                    seen_re = True
-                    re = _Q(term.lstrip("+"))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"not a Gaussian rational: {text!r}") from exc
-        return GaussRat(re, im)
+        re_sign, re_abs, im_sign, im_abs, lone_sign, lone_abs = m.groups()
+        if re_abs is None:  # imaginary part only
+            re_sign, re_abs, im_sign, im_abs = "", "0", lone_sign, lone_abs
+        try:
+            real = _signed_rational(re_sign, re_abs)
+            imag = (
+                _R_ZERO if im_sign is None
+                else _signed_rational(im_sign, im_abs or "1")
+            )
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a Gaussian rational: {text!r}") from exc
+        return GaussRat(real, imag)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -66,7 +66,7 @@ class LieContext:
     def from_json(data) -> "LieContext":
         try:
             return LieContext(str(data["algebra"]), str(data["group"]), int(data["n"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"bad context JSON: {exc}") from exc
 
 
@@ -253,15 +253,3 @@ def reverser_linear_space(x: ExactMatrix):
     rows = _commutator_rows(x, ONE)
     return _matrices_from_kernel(kernel(ExactMatrix.from_rows(rows)), x.rows)
 
-
-def centralizer_of_set(mats, constraints_ctx: LieContext | None = None):
-    """Basis of {A : A M = M A for all M}, optionally inside an algebra."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].rows
-    rows = []
-    for m in mats:
-        rows.extend(_commutator_rows(m, GaussRat.from_int(-1)))
-    if constraints_ctx is not None:
-        rows.extend(_algebra_constraint_rows(constraints_ctx))
-    return _matrices_from_kernel(kernel(ExactMatrix.from_rows(rows)), n)

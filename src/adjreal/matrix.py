@@ -152,6 +152,16 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
 
+    def plus_scalar(self, c: GaussRat) -> "ExactMatrix":
+        """X + c*I for square X; touches only the diagonal."""
+        if not self.is_square():
+            raise SizeMismatch("scalar shift of a non-square matrix")
+        flat = list(self.entries)
+        if not c.is_zero():
+            for k in range(0, len(flat), self.cols + 1):
+                flat[k] = flat[k] + c
+        return ExactMatrix(self.rows, self.cols, flat)
+
     def scale(self, c: GaussRat) -> "ExactMatrix":
         if isinstance(c, int):
             c = GaussRat.from_int(c)
@@ -237,7 +247,7 @@ class ExactMatrix:
             rows = int(data["rows"])
             cols = int(data["cols"])
             grid = data["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from exc
         if not isinstance(grid, list) or len(grid) != rows:
             raise ParseError("matrix JSON row count mismatch")
@@ -455,11 +465,11 @@ def char_poly(x: ExactMatrix) -> ExactPoly:
     n = x.rows
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    m = ExactMatrix.zeros(n)
-    ident = ExactMatrix.identity(n)
+    # M_k = X M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(X M_k) / k, from M_0 = 0
+    xm = ExactMatrix.zeros(n)  # X M_{k-1}
     for k in range(1, n + 1):
-        m = x * m + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = -(x * m).trace() * GaussRat(rational(1, k))
+        xm = x * xm.plus_scalar(coeffs[n - k + 1])
+        coeffs[n - k] = -xm.trace() * GaussRat(rational(1, k))
     return ExactPoly(coeffs)
 
 
@@ -468,9 +478,8 @@ def eval_poly(p: ExactPoly, x: ExactMatrix) -> ExactMatrix:
     if not x.is_square():
         raise SizeMismatch("polynomial of a non-square matrix")
     out = ExactMatrix.zeros(x.rows)
-    ident = ExactMatrix.identity(x.rows)
     for c in reversed(p.coeffs):
-        out = x * out + ident.scale(c)
+        out = (x * out).plus_scalar(c)
     return out
 
 

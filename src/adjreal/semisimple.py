@@ -3,7 +3,8 @@
 ``decide_semisimple`` answers, per acting group, whether -X lies in the
 adjoint orbit of X and whether an involutive conjugator exists; the
 criteria are purely arithmetic (spectrum symmetry, a zero eigenvalue,
-n mod 4, eigenvalue multiplicities) and never leave Q(i).
+n mod 4, eigenvalue multiplicities), all read off one characteristic
+polynomial, and never leave Q(i).
 
 ``witness_semisimple`` builds an explicit certified reverser for canonical
 block forms; ``witness_general_semisimple`` conjugates an arbitrary
@@ -45,7 +46,6 @@ from .matrix import (
     det,
     eval_poly,
     inverse,
-    similar_to_negative,
 )
 from .polynomial import (
     ExactPoly,
@@ -88,43 +88,43 @@ class RealityVerdict:
             raise ParseError(f"bad verdict JSON: {exc}") from exc
 
 
-def _require_semisimple_member(x: ExactMatrix, ctx: LieContext):
+def _require_semisimple_member(x: ExactMatrix, ctx: LieContext) -> ExactPoly:
+    """Check that x is a diagonalizable element of the context algebra and
+    return its characteristic polynomial, the only spectral data the
+    verdicts and witnesses need."""
     if not algebra_member(x, ctx):
         raise AlgebraMismatch(f"element is not in {ctx.algebra}({ctx.n})")
-    if not eval_poly(squarefree_part(char_poly(x)), x).is_zero():
+    chi = char_poly(x)
+    if not eval_poly(squarefree_part(chi), x).is_zero():
         raise NotSemisimple("element is not diagonalizable")
+    return chi
 
 
-def zero_in_spectrum(x: ExactMatrix) -> bool:
-    return det(x).is_zero()
-
-
-def _nonzero_multiplicities_even(x: ExactMatrix) -> bool:
+def _nonzero_multiplicities_even(chi: ExactPoly) -> bool:
     """True iff every nonzero eigenvalue (over the algebraic closure) has
     even multiplicity; read off the squarefree decomposition, so no
     splitting field is needed."""
     t = ExactPoly((ZERO, ONE))
-    for factor, mult in squarefree_decomposition(char_poly(x)):
+    for factor, mult in squarefree_decomposition(chi):
         if mult % 2 == 1 and factor != t:
             return False
     return True
 
 
-def decide_semisimple(x: ExactMatrix, ctx: LieContext) -> RealityVerdict:
-    """Reality verdict for a semisimple element under the context group."""
-    _require_semisimple_member(x, ctx)
-    if x.is_zero():
-        cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, True)
-        return RealityVerdict(YES, YES, "ZeroElement", cert)
+def _spectral_verdict(chi: ExactPoly, ctx: LieContext) -> RealityVerdict:
+    """Verdict for a nonzero semisimple element with characteristic
+    polynomial chi.  A diagonalizable X is similar to -X exactly when its
+    spectrum is symmetric under negation, i.e. chi(-t) = (-1)^n chi(t), and
+    chi(0) = 0 exactly when 0 is an eigenvalue."""
     group = ctx.group
     if group in ("GL", "SL", "PSL"):
-        if not similar_to_negative(x):
+        if chi.substitute_negated().monic() != chi:
             return RealityVerdict(NO, NO, "SpectrumAsymmetric")
         if group == "GL":
             return RealityVerdict(YES, YES, "SpectrumSymmetric")
         if group == "PSL":
             return RealityVerdict(YES, YES, "ProjectiveAlwaysStrong")
-        if zero_in_spectrum(x):
+        if chi[0].is_zero():
             return RealityVerdict(YES, YES, "ZeroEigenvalue")
         if ctx.n % 4 != 2:
             return RealityVerdict(YES, YES, "NMod4")
@@ -132,7 +132,7 @@ def decide_semisimple(x: ExactMatrix, ctx: LieContext) -> RealityVerdict:
     if group == "O":
         return RealityVerdict(YES, YES, "OrthogonalAlwaysStrong")
     if group == "SO":
-        if zero_in_spectrum(x):
+        if chi[0].is_zero():
             return RealityVerdict(YES, YES, "ZeroEigenvalue")
         if ctx.n % 4 != 2:
             return RealityVerdict(YES, YES, "NMod4")
@@ -141,11 +141,37 @@ def decide_semisimple(x: ExactMatrix, ctx: LieContext) -> RealityVerdict:
             return RealityVerdict(NO, NO, "SO2NotReal")
         return RealityVerdict(UNDETERMINED, NO, "PaperSilent")
     if group == "Sp":
-        if _nonzero_multiplicities_even(x):
+        if _nonzero_multiplicities_even(chi):
             return RealityVerdict(YES, YES, "EvenMultiplicity")
         return RealityVerdict(YES, NO, "OddMultiplicity")
     # PSp
     return RealityVerdict(YES, YES, "ProjectiveAlwaysStrong")
+
+
+def decide_semisimple(x: ExactMatrix, ctx: LieContext) -> RealityVerdict:
+    """Reality verdict for a semisimple element under the context group."""
+    chi = _require_semisimple_member(x, ctx)
+    if x.is_zero():
+        cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, True)
+        return RealityVerdict(YES, YES, "ZeroElement", cert)
+    return _spectral_verdict(chi, ctx)
+
+
+def _require_granted(verdict: RealityVerdict, want_involution: bool):
+    granted = verdict.is_strongly_real if want_involution else verdict.is_real
+    if granted != YES:
+        raise NotRealizable(
+            f"{'strong ' if want_involution else ''}reality not granted "
+            f"({verdict.reason})"
+        )
+
+
+def _verified(cert: ReverserCertificate, failure: str) -> ReverserCertificate:
+    """The certificate, once verify_certificate accepts it."""
+    report = verify_certificate(cert)
+    if not report.ok:
+        raise SelfCheckFailed(f"{failure}: {report.failures}")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +187,8 @@ def _pair_rep(v: GaussRat) -> GaussRat:
 def _pair_indices(values):
     """Match indices of v against indices of -v; returns (pairs, zeros)
     with each pair ordered (index of representative, index of negative).
-    Returns None if the multiset is not symmetric under negation."""
+    Raises SelfCheckFailed if the multiset is not symmetric under negation,
+    which a granted verdict rules out."""
     zeros = [k for k, v in enumerate(values) if v.is_zero()]
     buckets: dict = {}
     for k, v in enumerate(values):
@@ -174,11 +201,10 @@ def _pair_indices(values):
         pos = buckets.get(v, [])
         neg = buckets.get(-v, [])
         if len(pos) != len(neg):
-            return None
+            break  # left unmatched, so the count below falls short
         pairs.extend(zip(pos, neg))
-    matched = 2 * len(pairs) + len(zeros)
-    if matched != len(values):
-        return None
+    if 2 * len(pairs) + len(zeros) != len(values):
+        raise SelfCheckFailed("spectrum is not symmetric under negation")
     return pairs, zeros
 
 
@@ -214,9 +240,7 @@ def _rotation_reverser(n: int, pairs) -> ExactMatrix:
 
 
 def _witness_linear(values, ctx: LieContext, want_involution: bool) -> ExactMatrix:
-    pairing = _pair_indices(values)
-    assert pairing is not None
-    pairs, zeros = pairing
+    pairs, zeros = _pair_indices(values)
     n = len(values)
     if not want_involution:
         return _rotation_reverser(n, pairs)
@@ -226,9 +250,7 @@ def _witness_linear(values, ctx: LieContext, want_involution: bool) -> ExactMatr
 
 def _witness_projective_linear(values, ctx: LieContext) -> ExactMatrix:
     """SL representative g with g X g^-1 = -X and g^2 a scalar matrix."""
-    pairing = _pair_indices(values)
-    assert pairing is not None
-    pairs, zeros = pairing
+    pairs, zeros = _pair_indices(values)
     n = len(values)
     if len(zeros) % 2 == 0:
         # rotation blocks on the value pairs and on zero coordinates
@@ -237,22 +259,15 @@ def _witness_projective_linear(values, ctx: LieContext) -> ExactMatrix:
             (zeros[2 * t], zeros[2 * t + 1]) for t in range(len(zeros) // 2)
         ]
         return _rotation_reverser(n, pairs + zero_pairs)
-    g = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        g[k][k] = ONE
-    for p, q in pairs:
-        g[p][p] = ZERO
-        g[q][q] = ZERO
-        g[p][q] = -ONE
-        g[q][p] = ONE
+    mat = _rotation_reverser(n, pairs)
     for z in zeros:
-        g[z][z] = I
-    mat = ExactMatrix.from_rows(g)
+        mat = mat.with_entry(z, z, I)
     # odd zero count forces odd n, so a power of i can absorb det = i^s
     s = len(zeros) % 4
     k = ((-s) * pow(n, -1, 4)) % 4
     mat = mat.scale(I ** k)
-    assert det(mat) == 1
+    if det(mat) != 1:
+        raise SelfCheckFailed("projective reverser does not have determinant 1")
     return mat
 
 
@@ -337,7 +352,10 @@ def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
                 g[n + j][n + j] = ONE
         else:
             m = len(idxs)
-            assert m % 2 == 0, "odd multiplicity has no symplectic involution"
+            if m % 2:
+                raise SelfCheckFailed(
+                    "odd multiplicity has no symplectic involution"
+                )
             bmat = _antidiag_rotation_blocks(m)
             cmat = inverse(bmat)
             for p in range(m):
@@ -347,6 +365,24 @@ def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
         a = b
     g_norm = ExactMatrix.from_rows(g)
     return inverse(s) * g_norm * s
+
+
+def _canonical_reverser(
+    c: CanonicalSemisimple, ctx: LieContext, want_involution: bool
+) -> ExactMatrix:
+    """Reverser of build_canonical(c) at the requested level, which the
+    caller has checked is granted."""
+    if all(v.is_zero() for v in c.values):
+        return ExactMatrix.identity(c.matrix_size)
+    if ctx.group in ("GL", "SL"):
+        return _witness_linear(list(c.values), ctx, want_involution)
+    if ctx.group == "PSL":
+        return _witness_projective_linear(list(c.values), ctx)
+    if ctx.group in ("O", "SO"):
+        return _witness_orthogonal(c, ctx)
+    if ctx.group == "Sp" and want_involution:
+        return _witness_symplectic_involution(list(c.values), ctx)
+    return jn_matrix(ctx.n)
 
 
 def witness_semisimple(
@@ -363,33 +399,10 @@ def witness_semisimple(
     if c.matrix_size != ctx.matrix_size:
         raise SizeMismatch("canonical data size does not match context")
     x = build_canonical(c)
-    verdict = decide_semisimple(x, ctx)
-    granted = verdict.is_strongly_real if want_involution else verdict.is_real
-    if granted != YES:
-        raise NotRealizable(
-            f"{'strong ' if want_involution else ''}reality not granted "
-            f"({verdict.reason})"
-        )
-    if x.is_zero():
-        g = ExactMatrix.identity(x.rows)
-    elif ctx.group in ("GL", "SL"):
-        g = _witness_linear(list(c.values), ctx, want_involution)
-    elif ctx.group == "PSL":
-        g = _witness_projective_linear(list(c.values), ctx)
-    elif ctx.group in ("O", "SO"):
-        g = _witness_orthogonal(c, ctx)
-    elif ctx.group == "Sp":
-        if want_involution:
-            g = _witness_symplectic_involution(list(c.values), ctx)
-        else:
-            g = jn_matrix(ctx.n)
-    else:  # PSp
-        g = jn_matrix(ctx.n)
+    _require_granted(decide_semisimple(x, ctx), want_involution)
+    g = _canonical_reverser(c, ctx, want_involution)
     cert = ReverserCertificate(x, g, ctx, want_involution)
-    report = verify_certificate(cert)
-    if not report.ok:
-        raise SelfCheckFailed(f"internal witness failure: {report.failures}")
-    return cert
+    return _verified(cert, "internal witness failure")
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +410,17 @@ def witness_semisimple(
 # ---------------------------------------------------------------------------
 
 
-def _eigen_data(x: ExactMatrix):
-    """Sorted distinct Q(i) eigenvalues with kernel bases; raises
-    SpectrumNotSplit when the characteristic polynomial has an
-    irrational factor."""
-    roots, cofactor = linear_roots(char_poly(x))
+def _eigen_data(x: ExactMatrix, chi: ExactPoly):
+    """Sorted distinct Q(i) eigenvalues of x, whose characteristic
+    polynomial is chi, with kernel bases; raises SpectrumNotSplit when chi
+    has an irrational factor."""
+    roots, cofactor = linear_roots(chi)
     if cofactor.degree() > 0:
         raise SpectrumNotSplit(
             f"characteristic polynomial has irrational factor {cofactor}"
         )
     distinct = sorted(set(roots), key=GaussRat.lex_key)
-    ident = ExactMatrix.identity(x.rows)
-    return [
-        (lam, kernel(x - ident.scale(lam))) for lam in distinct
-    ]
+    return [(lam, kernel(x.plus_scalar(-lam))) for lam in distinct]
 
 
 def _bilinear(form: ExactMatrix | None):
@@ -462,7 +472,7 @@ def _orthogonalize_symmetric(vectors, pairing):
                 if found:
                     break
             if pidx is None:
-                raise ArithmeticError("degenerate symmetric form")
+                raise SelfCheckFailed("degenerate symmetric form")
         pivot = rest.pop(pidx)
         out.append(pivot)
         c = pairing(pivot, pivot)
@@ -483,7 +493,7 @@ def _symplectic_pair_basis(vectors, pairing, target: GaussRat):
             (k for k, w in enumerate(rest) if not pairing(p, w).is_zero()), None
         )
         if qidx is None:
-            raise ArithmeticError("degenerate antisymmetric form")
+            raise SelfCheckFailed("degenerate antisymmetric form")
         q = rest.pop(qidx)
         q = [e * (target / pairing(p, q)) for e in q]
         firsts.append(p)
@@ -505,16 +515,17 @@ def witness_general_semisimple(
 ) -> ReverserCertificate:
     """Reverser for an arbitrary semisimple element with Q(i) spectrum.
 
-    Builds an algebra-compatible eigenbasis, delegates to the canonical
-    construction, and conjugates the witness back.
+    Builds an algebra-compatible eigenbasis S with x = S C S^-1 for the
+    canonical C, takes the canonical reverser of C, and conjugates it back.
+    The verdict comes from the characteristic polynomial of x, which C
+    shares; only the final certificate is verified.
     """
-    _require_semisimple_member(x, ctx)
+    chi = _require_semisimple_member(x, ctx)
     if x.is_zero():
         cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, want_involution)
-        if not verify_certificate(cert).ok:
-            raise SelfCheckFailed("identity witness of the zero element failed")
-        return cert
-    eigen = _eigen_data(x)
+        return _verified(cert, "identity witness of the zero element")
+    eigen = _eigen_data(x, chi)
+    _require_granted(_spectral_verdict(chi, ctx), want_involution)
     if ctx.algebra in ("gl", "sl"):
         values, columns = [], []
         for lam, basis in eigen:
@@ -526,15 +537,18 @@ def witness_general_semisimple(
         canon, s = _so_eigenbasis(x, eigen)
     else:  # sp
         canon, s = _sp_eigenbasis(x, eigen, ctx)
-    inner = witness_semisimple(canon, ctx, want_involution)
-    g = s * inner.reverser * inverse(s)
+    g = s * _canonical_reverser(canon, ctx, want_involution) * inverse(s)
     cert = ReverserCertificate(x, g, ctx, want_involution)
-    report = verify_certificate(cert)
-    if not report.ok:
-        raise SelfCheckFailed(
-            f"general witness failed verification: {report.failures}"
-        )
-    return cert
+    return _verified(cert, "general witness")
+
+
+def _negative_eigenspace(by_value, lam: GaussRat, us):
+    """Basis of the -lam eigenspace, which in so and sp has the dimension
+    of the lam eigenspace (basis us)."""
+    vs = by_value.get(-lam)
+    if vs is None or len(vs) != len(us):
+        raise SelfCheckFailed(f"eigenvalues {lam} and {-lam} are not paired")
+    return vs
 
 
 def _so_eigenbasis(x: ExactMatrix, eigen):
@@ -554,8 +568,7 @@ def _so_eigenbasis(x: ExactMatrix, eigen):
     ]
     for lam in reps:
         us = by_value[lam]
-        vs_raw = by_value.get(-lam)
-        assert vs_raw is not None and len(vs_raw) == len(us)
+        vs_raw = _negative_eigenspace(by_value, lam, us)
         vs = _dual_basis(us, vs_raw, pairing, half)
         for u, v in zip(us, vs):
             f1 = _combine(u, v, ONE, ONE)
@@ -583,8 +596,7 @@ def _sp_eigenbasis(x: ExactMatrix, eigen, ctx: LieContext):
     minus_one = -ONE
     for lam in reps:
         us = by_value[lam]
-        ws_raw = by_value.get(-lam)
-        assert ws_raw is not None and len(ws_raw) == len(us)
+        ws_raw = _negative_eigenspace(by_value, lam, us)
         ws = _dual_basis(us, ws_raw, pairing, minus_one)
         first.extend(us)
         second.extend(ws)

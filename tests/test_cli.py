@@ -1,11 +1,14 @@
 """Command-line surface: JSON round trips, exit codes, fresh-process
 verification of produced certificates."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjreal.cli import main
 from adjreal.gaussian import gr
@@ -206,3 +209,76 @@ def test_bad_input_is_a_json_parse_error(argv):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert json.loads(run.stdout)["error"] == "ParseError"
+
+
+# -- fuzzed JSON input ------------------------------------------------------------
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+_SCALARS = st.sampled_from(
+    ["0", "1", "-1", "2", "i", "-i", "1/2-3*i", "3*i", "1e5", "1.5", "1_000",
+     "+-1", "1/0", "", " ", "x", "1+2", "3i", "--1", "NaN", "1" * 40]
+) | st.text(alphabet="0123456789+-/*i .e_", max_size=6)
+
+
+@st.composite
+def _matrix_json(draw):
+    """Mostly well-formed matrices with hostile entries and shapes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JSON)
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.sampled_from([rows, rows, rows + 1]))
+    grid = [[draw(_SCALARS) for _ in range(cols)] for _ in range(rows)]
+    doc = {"rows": rows, "cols": cols, "entries": grid}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["rows", "cols", "entries"]))] = draw(_JSON)
+    return doc
+
+
+@st.composite
+def _ctx_json(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JSON)
+    return {
+        "algebra": draw(st.sampled_from(["gl", "sl", "so", "sp", "su", 3])),
+        "group": draw(st.sampled_from(["GL", "SL", "O", "SO", "Sp", "PSL", "PSp", "U"])),
+        "n": draw(st.integers(-1, 4) | st.floats() | _JSON),
+    }
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(["decide", "witness", "verify"]))
+    ctx, mat = draw(_ctx_json()), draw(_matrix_json())
+    if command != "verify":
+        extra = ["--involution"] if command == "witness" and draw(st.booleans()) else []
+        # --opt=value, so that argparse takes a leading "-" as part of the value
+        return [command, f"--ctx={json.dumps(ctx)}", f"--matrix={json.dumps(mat)}", *extra]
+    cert = {
+        "element": mat,
+        "reverser": draw(_matrix_json()),
+        "context": ctx,
+        "claims_involution": draw(st.booleans() | _JSON),
+    }
+    if draw(st.integers(0, 4)) == 0:
+        cert = draw(_JSON)
+    return ["verify", json.dumps(cert)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_argv())
+def test_fuzzed_json_gets_an_exit_code_and_json(argv):
+    """Malformed matrix, context or certificate JSON never escapes as a
+    traceback: the exit code is 0, 1 or 2 and stdout is JSON."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    json.loads(buf.getvalue())

@@ -73,3 +73,25 @@ def test_powers():
     assert I ** 2 == -ONE
     assert (gr(1, 1)) ** 2 == gr(0, 2)
     assert gr(2) ** -1 == gr("1/2")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1e5", "1.5", "1_000", "+-1", "--1", "3i", "*i", "i+1", "1 2", "1/-2",
+     "١", "1" * 5000],
+)
+def test_parse_is_strictly_the_documented_grammar(bad):
+    with pytest.raises(ParseError):
+        GaussRat.parse(bad)
+
+
+def test_parse_accepts_both_parts_with_unit_imaginary():
+    assert GaussRat.parse("+1") == ONE
+    assert GaussRat.parse("1+i") == gr(1, 1)
+    assert GaussRat.parse("-7/3 + 5/2 * i") == gr("-7/3") + gr(0, rational(5, 2))
+
+
+def test_parse_rejects_non_strings():
+    for bad in (None, 5, ["1"]):
+        with pytest.raises(ParseError):
+            GaussRat.parse(bad)

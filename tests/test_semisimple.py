@@ -1,7 +1,16 @@
 """Reality verdicts and reverser constructions, semisimple case."""
 
-import pytest
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import adjreal
+from adjreal import matrix, semisimple
 from adjreal.certificates import verify_certificate
 from adjreal.errors import (
     AlgebraMismatch,
@@ -17,7 +26,8 @@ from adjreal.liecore import (
     jn_matrix,
     so_block,
 )
-from adjreal.matrix import ExactMatrix, det
+from adjreal.matrix import ExactMatrix, det, similar_to_negative
+from adjreal.matrix import inverse as minv
 from adjreal.oracle import enumerate_involutive_reversers
 from adjreal.semisimple import (
     NO,
@@ -314,3 +324,143 @@ def test_so2_has_no_special_orthogonal_reverser():
         gram = r.transpose() * r
         if gram == ExactMatrix.identity(2):
             assert det(r) == -ONE
+
+
+# -- one spectral pass ----------------------------------------------------------
+
+
+def _unimodular(rng, n, height):
+    """Dense L U with unit triangular factors: determinant one, integer
+    inverse."""
+    def entry(i, j, below):
+        if i == j:
+            return 1
+        return rng.randint(-height, height) if (j < i) == below else 0
+
+    low = ExactMatrix.from_rows([[entry(i, j, True) for j in range(n)] for i in range(n)])
+    up = ExactMatrix.from_rows([[entry(i, j, False) for j in range(n)] for i in range(n)])
+    return low * up
+
+
+def _conjugated_diagonal(rng, values, height=1):
+    p = _unimodular(rng, len(values), height)
+    return p * ExactMatrix.diagonal(values) * minv(p)
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize(
+    "x, ctx",
+    [
+        (ExactMatrix.diagonal([gr(1), gr(2), gr(-1), gr(-2)]), SL4),
+        (ExactMatrix.diagonal([gr(1), gr(-2), gr(3)]), LieContext("gl", "GL", 3)),
+        (ExactMatrix.diagonal([gr(1), gr(-1), ZERO]), LieContext("sl", "PSL", 3)),
+        (build_canonical(CanonicalSemisimple("so", (gr(1), gr(2)), 1)),
+         LieContext("so", "SO", 5)),
+        (build_canonical(CanonicalSemisimple("sp", (gr(2), gr(2)))), SP2),
+        (build_canonical(CanonicalSemisimple("sp", (gr(2), gr(3)))), SP2),
+    ],
+    ids=["sl", "gl-asymmetric", "psl", "so", "sp-even", "sp-odd"],
+)
+def test_one_char_poly_per_command_and_one_verification(monkeypatch, x, ctx):
+    calls = Counter()
+    for module, name in (
+        (semisimple, "char_poly"),
+        (semisimple, "verify_certificate"),
+        (matrix, "invariant_factors"),
+    ):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+    verdict = decide_semisimple(x, ctx)
+    assert calls == {"char_poly": 1}
+    calls.clear()
+    want_involution = verdict.is_strongly_real == YES
+    try:
+        witness_general_semisimple(x, ctx, want_involution)
+    except NotRealizable:
+        assert verdict.is_real != YES
+        assert calls == {"char_poly": 1}
+    else:
+        assert calls == {"char_poly": 1, "verify_certificate": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pairs=st.lists(st.integers(1, 3), max_size=2),
+    zeros=st.integers(0, 2),
+    extra=st.lists(st.integers(-3, 3), max_size=2),
+    seed=st.integers(0, 2**16),
+)
+def test_spectral_verdict_agrees_with_smith_route(pairs, zeros, extra, seed):
+    """The GL verdict read off chi equals the Smith-form comparison of the
+    invariant factors of X and -X."""
+    values = [gr(v) for v in pairs] + [gr(-v) for v in pairs] + [ZERO] * zeros
+    values += [gr(v) for v in extra]
+    if not values:
+        values = [gr(2)]
+    x = _conjugated_diagonal(random.Random(seed), values)
+    n = len(values)
+    verdict = decide_semisimple(x, LieContext("gl", "GL", n))
+    assert (verdict.is_real == YES) == similar_to_negative(x)
+    if x.trace().is_zero():
+        verdict = decide_semisimple(x, LieContext("sl", "SL", n))
+        assert (verdict.is_real == YES) == similar_to_negative(x)
+
+
+def test_decide_dense_sl16():
+    """A densely conjugated sl(16) element with entries of about 20 bits;
+    deciding it through the Smith form did not finish in 400 s."""
+    values = [gr(k) for k in range(1, 9)] + [gr(-k) for k in range(1, 9)]
+    x = _conjugated_diagonal(random.Random(16), values, height=2)
+    assert max(abs(e.re.numerator).bit_length() for e in x.entries) >= 16
+    v = decide_semisimple(x, LieContext("sl", "SL", 16))
+    assert (v.is_real, v.is_strongly_real, v.reason) == (YES, YES, "NMod4")
+    v = decide_semisimple(x, LieContext("gl", "GL", 16))
+    assert v.reason == "SpectrumSymmetric"
+
+
+# -- typed self-checks ------------------------------------------------------------
+
+
+def test_self_checks_survive_python_optimize():
+    """The helpers' internal checks raise SelfCheckFailed, not AssertionError
+    or ArithmeticError, and python -O keeps them."""
+    code = (
+        "from adjreal import semisimple as s\n"
+        "from adjreal.errors import SelfCheckFailed\n"
+        "from adjreal.gaussian import I, ONE, ZERO\n"
+        "from adjreal.liecore import LieContext, jn_matrix\n"
+        "from adjreal.matrix import ExactMatrix\n"
+        "cases = {\n"
+        "    'linear': lambda: s._witness_linear([ONE, ONE], LieContext('gl', 'GL', 2), False),\n"
+        "    'projective': lambda: s._witness_projective_linear([ONE, ONE], LieContext('sl', 'PSL', 2)),\n"
+        "    'symplectic': lambda: s._witness_symplectic_involution([ONE], LieContext('sp', 'Sp', 1)),\n"
+        "    'so-pairs': lambda: s._so_eigenbasis(None, [(ONE, [[ONE, ZERO]])]),\n"
+        "    'sp-pairs': lambda: s._sp_eigenbasis(None, [(ONE, [[ONE, ZERO]])], LieContext('sp', 'Sp', 1)),\n"
+        "    'symmetric-form': lambda: s._orthogonalize_symmetric([[ONE, I]], s._bilinear(None)),\n"
+        "    'antisymmetric-form': lambda: s._symplectic_pair_basis(\n"
+        "        [[ONE, ZERO]], s._bilinear(jn_matrix(1)), -ONE),\n"
+        "}\n"
+        "for name, case in cases.items():\n"
+        "    try:\n"
+        "        case()\n"
+        "    except SelfCheckFailed:\n"
+        "        print(name)\n"
+        "print(__debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(adjreal.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [
+        "linear", "projective", "symplectic", "so-pairs", "sp-pairs",
+        "symmetric-form", "antisymmetric-form", "False",
+    ]

@@ -142,8 +142,17 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors raise ParseError, so they take the JSON
+    error path (exit 2) like every other input error; ``--help`` still
+    prints and exits 0."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adjreal",
         description=(
             "Decide adjoint reality in the classical complex Lie algebras "
@@ -204,9 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(json.dumps({"error": "ParseError", "message": str(exc)}))

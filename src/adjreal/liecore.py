@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, ParseError, SizeMismatch
 from .gaussian import ONE, ZERO, GaussRat
-from .matrix import ExactMatrix, det, is_invertible, kernel
+from .matrix import ExactMatrix, det, is_invertible, json_int, kernel
 
 ALGEBRAS = ("gl", "sl", "so", "sp")
 GROUPS = ("GL", "SL", "O", "SO", "Sp", "PSL", "PSp")
@@ -65,8 +65,9 @@ class LieContext:
     @staticmethod
     def from_json(data) -> "LieContext":
         try:
-            return LieContext(str(data["algebra"]), str(data["group"]), int(data["n"]))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            n = json_int(data["n"], "context n")
+            return LieContext(str(data["algebra"]), str(data["group"]), n)
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad context JSON: {exc}") from exc
 
 

@@ -13,8 +13,15 @@ JSON wire format for matrices:
 from __future__ import annotations
 
 from .errors import InconsistentSystem, ParseError, SingularMatrix, SizeMismatch
-from .gaussian import ONE, ZERO, GaussRat, rational
+from .gaussian import ONE, ZERO, GaussRat
 from .polynomial import ExactPoly, squarefree_part
+
+
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer (a boolean is not one), else ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 class ExactMatrix:
@@ -244,10 +251,10 @@ class ExactMatrix:
     @staticmethod
     def from_json(data) -> "ExactMatrix":
         try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
+            rows = json_int(data["rows"], "matrix rows")
+            cols = json_int(data["cols"], "matrix cols")
             grid = data["entries"]
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from exc
         if not isinstance(grid, list) or len(grid) != rows:
             raise ParseError("matrix JSON row count mismatch")
@@ -457,20 +464,81 @@ def is_invertible(a: ExactMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def char_poly(x: ExactMatrix) -> ExactPoly:
-    """Characteristic polynomial det(tI - X) by the trace recurrence of
-    Faddeev-LeVerrier; exact, no eigenvalues needed."""
+def hessenberg(x: ExactMatrix) -> ExactMatrix:
+    """Upper Hessenberg H similar to X, by elementary similarities.
+
+    Column by column, the first nonzero entry at or below the subdiagonal
+    is swapped onto the subdiagonal (rows and columns together) and
+    clears the entries under it.  An X that is already upper Hessenberg
+    comes back unchanged, without arithmetic.
+    """
     if not x.is_square():
-        raise SizeMismatch("characteristic polynomial of a non-square matrix")
+        raise SizeMismatch("Hessenberg form of a non-square matrix")
     n = x.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    # M_k = X M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(X M_k) / k, from M_0 = 0
-    xm = ExactMatrix.zeros(n)  # X M_{k-1}
-    for k in range(1, n + 1):
-        xm = x * xm.plus_scalar(coeffs[n - k + 1])
-        coeffs[n - k] = -xm.trace() * GaussRat(rational(1, k))
-    return ExactPoly(coeffs)
+    h = x.to_lists()
+    for k in range(n - 2):
+        p = next((i for i in range(k + 1, n) if not h[i][k].is_zero()), None)
+        if p is None:
+            continue
+        if p != k + 1:
+            h[p], h[k + 1] = h[k + 1], h[p]
+            for row in h:
+                row[p], row[k + 1] = row[k + 1], row[p]
+        pivot_row = h[k + 1]
+        inv = pivot_row[k].inverse()
+        for i in range(k + 2, n):
+            row = h[i]
+            if row[k].is_zero():
+                continue
+            u = row[k] * inv
+            # row i -= u * row k+1, then column k+1 += u * column i
+            row[k] = ZERO
+            for j in range(k + 1, n):
+                if not pivot_row[j].is_zero():
+                    row[j] = row[j] - u * pivot_row[j]
+            for other in h:
+                if not other[i].is_zero():
+                    other[k + 1] = other[k + 1] + u * other[i]
+    return ExactMatrix.from_rows(h)
+
+
+def char_poly(x: ExactMatrix) -> ExactPoly:
+    """Characteristic polynomial det(tI - X), exact, in O(n^3).
+
+    With H the Hessenberg form of X and p_k the characteristic polynomial
+    of its leading k x k block, p_0 = 1 and
+    p_{k+1} = (t - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
+    """
+    h = hessenberg(x)
+    n = h.rows
+    polys = [[ONE]]  # coefficients of p_k, lowest degree first
+    for k in range(n):
+        pk = polys[k]
+        hkk = h[k, k]
+        nxt = [ZERO] + pk  # t p_k
+        if not hkk.is_zero():
+            for j, c in enumerate(pk):
+                nxt[j] = nxt[j] - hkk * c
+        # weights w_i for i = k-1, k-2, ...; they vanish past a zero
+        # subdiagonal entry
+        weights, sub = [], ONE
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1, i]
+            if sub.is_zero():
+                break
+            weights.append(h[i, k] * sub)
+        if weights:
+            stacked = []
+            for i in range(k - 1, k - 1 - len(weights), -1):
+                stacked.extend(polys[i] + [ZERO] * (k - 1 - i))
+            total = ExactMatrix(1, len(weights), weights) * ExactMatrix(
+                len(weights), k, stacked
+            )
+            for j, c in enumerate(total.entries):
+                if not c.is_zero():
+                    nxt[j] = nxt[j] - c
+        polys.append(nxt)
+    return ExactPoly(polys[n])
 
 
 def eval_poly(p: ExactPoly, x: ExactMatrix) -> ExactMatrix:
@@ -594,12 +662,38 @@ def minimal_polynomial(x: ExactMatrix) -> ExactPoly:
     return invariant_factors(x)[-1]
 
 
-def is_semisimple(x: ExactMatrix) -> bool:
-    """True iff the minimal polynomial is squarefree; checked by testing
-    whether the squarefree part of the characteristic polynomial already
-    annihilates the matrix (equivalent and much cheaper)."""
-    q = squarefree_part(char_poly(x))
-    return eval_poly(q, x).is_zero()
+def is_semisimple(x: ExactMatrix, chi: ExactPoly | None = None) -> bool:
+    """True iff X is diagonalizable, i.e. the squarefree part q of its
+    characteristic polynomial chi (computed unless given) annihilates X.
+
+    Tested on the Hessenberg form H: q(H) e_s = 0 at each block start s
+    (s = 0 and every index after a zero subdiagonal entry), by Horner on
+    vectors.  That is exact, because those e_s generate C^n as a
+    C[H]-module and q(H) commutes with H.
+    """
+    h = hessenberg(x)
+    q = squarefree_part(char_poly(h) if chi is None else chi)
+    n = h.rows
+    # nonzero entries of each column of H, which end at the subdiagonal
+    cols = [
+        [(i, h[i, j]) for i in range(min(j + 2, n)) if not h[i, j].is_zero()]
+        for j in range(n)
+    ]
+    for s in range(n):
+        if s and not h[s, s - 1].is_zero():
+            continue
+        v = [ZERO] * n
+        for c in reversed(q.coeffs):
+            hv = [ZERO] * n
+            for j, vj in enumerate(v):
+                if not vj.is_zero():
+                    for i, hij in cols[j]:
+                        hv[i] = hv[i] + hij * vj
+            hv[s] = hv[s] + c
+            v = hv
+        if not all(e.is_zero() for e in v):
+            return False
+    return True
 
 
 def is_nilpotent(x: ExactMatrix) -> bool:

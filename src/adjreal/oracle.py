@@ -16,20 +16,26 @@ import itertools
 from dataclasses import dataclass, field
 
 from .certificates import ReverserCertificate, verify_certificate
-from .errors import AlgebraMismatch, InconsistentSystem, SearchSpaceTooLarge
+from .errors import (
+    AlgebraMismatch,
+    InconsistentSystem,
+    SearchSpaceTooLarge,
+    SelfCheckFailed,
+)
 from .gaussian import GaussRat, ONE, ZERO, rational
 from .liecore import LieContext, algebra_member, group_member, reverser_linear_space
 from .matrix import (
     ExactMatrix,
     char_poly,
     det,
-    eval_poly,
+    hessenberg,
     inverse,
+    is_semisimple,
     kernel,
     rank,
     solve_linear,
 )
-from .polynomial import ExactPoly, linear_roots, poly_gcd, poly_lcm, squarefree_part
+from .polynomial import ExactPoly, linear_roots, poly_gcd, poly_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +126,8 @@ def _invariant_chain(a: ExactMatrix):
         [[abar[i, j] for j in range(k, n)] for i in range(k, n)]
     )
     rest = _invariant_chain(quotient)
-    assert not rest or (m % rest[0]).is_zero(), "cyclic chain broke"
+    if rest and not (m % rest[0]).is_zero():
+        raise SelfCheckFailed("cyclic chain broke")
     return [m] + rest
 
 
@@ -194,13 +201,12 @@ class _StructuredInapplicable(Exception):
     pass
 
 
-def _eigen_split_or_raise(x: ExactMatrix):
-    roots, cofactor = linear_roots(char_poly(x))
+def _eigen_split_or_raise(x: ExactMatrix, chi: ExactPoly):
+    roots, cofactor = linear_roots(chi)
     if cofactor.degree() > 0:
         raise _StructuredInapplicable
     distinct = sorted(set(roots), key=GaussRat.lex_key)
-    ident = ExactMatrix.identity(x.rows)
-    return {lam: kernel(x - ident.scale(lam)) for lam in distinct}
+    return {lam: kernel(x.plus_scalar(-lam)) for lam in distinct}
 
 
 def _structured_involutions(x: ExactMatrix, height: int, limit: int):
@@ -217,9 +223,11 @@ def _structured_involutions(x: ExactMatrix, height: int, limit: int):
     Yields (det, builder) pairs; the determinant comes from the exact
     block formula det r = (-1)^{sum of pair multiplicities} * kernel sign.
     """
-    if not eval_poly(squarefree_part(char_poly(x)), x).is_zero():
+    h = hessenberg(x)
+    chi = char_poly(h)
+    if not is_semisimple(h, chi):
         raise _StructuredInapplicable
-    spaces = _eigen_split_or_raise(x)
+    spaces = _eigen_split_or_raise(x, chi)
     zero = GaussRat.from_int(0)
     kernel_basis = spaces.get(zero, [])
     if len(kernel_basis) > 1:
@@ -313,9 +321,12 @@ def involution_determinant_census(
         dets.add(d)
         if count % sample_every == 1:
             r = build()
-            assert r * r == ExactMatrix.identity(r.rows), "sampled r not involutive"
-            assert (r * x + x * r).is_zero(), "sampled r not anticommuting"
-            assert det(r) == d, "block determinant formula mismatch"
+            if r * r != ExactMatrix.identity(r.rows):
+                raise SelfCheckFailed("sampled r not involutive")
+            if not (r * x + x * r).is_zero():
+                raise SelfCheckFailed("sampled r not anticommuting")
+            if det(r) != d:
+                raise SelfCheckFailed("block determinant formula mismatch")
             samples_verified += 1
     return count, dets, samples_verified
 

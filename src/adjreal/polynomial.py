@@ -5,8 +5,9 @@ zero polynomial has an empty coefficient tuple and degree -1.
 
 Root finding stays inside Q(i): candidate roots a/b are produced from the
 Gaussian-integer divisors of the trailing and leading coefficients (after
-clearing denominators), and divisors are enumerated by factoring the
-integer norm.  Anything irrational is returned untouched as the cofactor.
+clearing denominators), divisors are enumerated by factoring the
+integer norm, and only candidates inside an exact root bound are tried.
+Anything irrational is returned untouched as the cofactor.
 """
 
 from __future__ import annotations
@@ -438,11 +439,41 @@ def _to_gaussian_integer_poly(p: ExactPoly):
     return [g.exact_div(content) for g in gcoeffs]
 
 
+def _ceil_root(m: int, e: int) -> int:
+    """Smallest integer r >= 0 with r**e >= m."""
+    lo, hi = 0, 1 << -(-m.bit_length() // e)  # hi**e >= 2**bits > m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**e >= m:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _root_bound(gcoeffs) -> int:
+    """Integer B with |z| <= B for every complex root z of the polynomial
+    with Gaussian-integer coefficients a_0..a_d: Fujiwara's bound
+    2 max_k |a_{d-k} / a_d|^(1/k), with a_0 halved, rounded up exactly."""
+    d = len(gcoeffs) - 1
+    lead = gcoeffs[-1].norm()
+    bound = 0
+    for k in range(1, d + 1):
+        # (B/2)^k >= |a_{d-k} / a_d| (half that for k = d), squared
+        num = 4 ** (k - 1 if k == d else k) * gcoeffs[d - k].norm()
+        bound = max(bound, _ceil_root(-(-num // lead), 2 * k))
+    return bound
+
+
 def linear_roots(p: ExactPoly):
     """All roots of p lying in Q(i), with multiplicity, plus the rootless
     cofactor; the (x - root) factors times the cofactor reproduce p exactly.
 
-    Roots are returned sorted by the (re, im) key.
+    Candidates are the unit multiples of num/den, for Gaussian-integer
+    divisors num of the trailing and den of the leading coefficient,
+    inside an exact root bound; they are tried in increasing norm until
+    no linear factor is left.  Roots are returned sorted by the (re, im)
+    key.
     """
     if p.is_zero():
         raise ZeroDivisionError("roots of the zero polynomial requested")
@@ -454,17 +485,21 @@ def linear_roots(p: ExactPoly):
         work = ExactPoly(work.coeffs[1:])
     if work.degree() >= 1:
         gcoeffs = _to_gaussian_integer_poly(work)
-        lead = gcoeffs[-1]
-        trail = gcoeffs[0]
+        bound = _root_bound(gcoeffs) ** 2
+        dens = gaussian_divisors(gcoeffs[-1])
         candidates = set()
-        for num in gaussian_divisors(trail):
-            for den in gaussian_divisors(lead):
+        for num in gaussian_divisors(gcoeffs[0]):
+            for den in dens:
+                if num.norm() > bound * den.norm():
+                    continue
                 base = GaussRat(
                     rational(num.a), rational(num.b)
                 ) / GaussRat(rational(den.a), rational(den.b))
                 for u in _UNITS:
                     candidates.add(GaussRat(rational(u.a), rational(u.b)) * base)
-        for cand in sorted(candidates, key=GaussRat.lex_key):
+        for cand in sorted(candidates, key=lambda c: (c.norm(), c.lex_key())):
+            if work.degree() < 1:
+                break
             while work.degree() >= 1 and work(cand).is_zero():
                 roots.append(cand)
                 work = work // ExactPoly((-cand, ONE))

@@ -44,15 +44,11 @@ from .matrix import (
     ExactMatrix,
     char_poly,
     det,
-    eval_poly,
+    hessenberg,
     inverse,
+    is_semisimple,
 )
-from .polynomial import (
-    ExactPoly,
-    linear_roots,
-    squarefree_decomposition,
-    squarefree_part,
-)
+from .polynomial import ExactPoly, linear_roots, squarefree_decomposition
 
 YES = "yes"
 NO = "no"
@@ -94,8 +90,9 @@ def _require_semisimple_member(x: ExactMatrix, ctx: LieContext) -> ExactPoly:
     verdicts and witnesses need."""
     if not algebra_member(x, ctx):
         raise AlgebraMismatch(f"element is not in {ctx.algebra}({ctx.n})")
-    chi = char_poly(x)
-    if not eval_poly(squarefree_part(chi), x).is_zero():
+    h = hessenberg(x)
+    chi = char_poly(h)
+    if not is_semisimple(h, chi):
         raise NotSemisimple("element is not diagonalizable")
     return chi
 

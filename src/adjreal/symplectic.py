@@ -563,7 +563,8 @@ def _model_form_and_shift(parts):
                     sign = ONE if level % 2 == 0 else -ONE
                     qp[off + level][off + d - 1 - level] = sign
         else:
-            assert len(idxs) % 2 == 0
+            if len(idxs) % 2:
+                raise SelfCheckFailed(f"odd part {d} occurs an odd number of times")
             for a, b in zip(idxs[0::2], idxs[1::2]):
                 oa, ob = offsets[a], offsets[b]
                 for level in range(d):
@@ -592,8 +593,8 @@ def nilpotent_from_partition(parts) -> ExactMatrix:
     xp, qp, _ = _model_form_and_shift(list(parts))
     t = _isometry_to_standard(qp)
     x = t * xp * inverse(t)
-    ctx = LieContext("sp", "Sp", x.rows // 2)
-    assert algebra_member(x, ctx)
+    if not algebra_member(x, LieContext("sp", "Sp", x.rows // 2)):
+        raise SelfCheckFailed("model nilpotent is not in sp(n)")
     return x
 
 
@@ -630,6 +631,6 @@ def mixed_from_partition(parts, params: dict):
     xs = t * sp_mat * tinv
     xn = t * xp * tinv
     x = xs + xn
-    ctx = LieContext("sp", "Sp", size // 2)
-    assert algebra_member(x, ctx)
+    if not algebra_member(x, LieContext("sp", "Sp", size // 2)):
+        raise SelfCheckFailed("model mixed element is not in sp(n)")
     return x, xs, xn

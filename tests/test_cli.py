@@ -185,6 +185,8 @@ _ROTATION_CERT = json.dumps({
     "context": {"algebra": "sl", "group": "SL", "n": 2},
     "claims_involution": "false",
 })
+_GL1_CTX = '{"algebra":"gl","group":"GL","n":1}'
+_ONE_BY_ONE = '{"rows":1,"cols":1,"entries":[["1"]]}'
 _SP1_ARGS = ["--ctx", '{"algebra":"sp","group":"Sp","n":1}',
              "--matrix", '{"rows":2,"cols":2,"entries":[["3","0"],["0","-3"]]}']
 
@@ -198,9 +200,20 @@ _SP1_ARGS = ["--ctx", '{"algebra":"sp","group":"Sp","n":1}',
         ["selftest", "--criterion", "0"],
         ["search", *_SP1_ARGS, "--height", "-1"],
         ["search", *_SP1_ARGS, "--height", "0"],
+        ["decide", "--ctx", '{"algebra":"gl","group":"GL","n":true}',
+         "--matrix", _ONE_BY_ONE],
+        ["decide", "--ctx", '{"algebra":"gl","group":"GL","n":1.0}',
+         "--matrix", _ONE_BY_ONE],
+        ["decide", "--ctx", _GL1_CTX,
+         "--matrix", '{"rows":1.9,"cols":1,"entries":[["1"]]}'],
+        ["decide", "--ctx", _GL1_CTX,
+         "--matrix", '{"rows":1,"cols":"1","entries":[["1"]]}'],
+        ["decide", "--ctx", _GL1_CTX,
+         "--matrix", '{"rows":true,"cols":1,"entries":[["1"]]}'],
     ],
     ids=["claim-string", "integer-entries", "criterion-9", "criterion-0",
-         "height-minus-1", "height-0"],
+         "height-minus-1", "height-0", "n-true", "n-float", "rows-float",
+         "cols-string", "rows-true"],
 )
 def test_bad_input_is_a_json_parse_error(argv):
     run = subprocess.run(
@@ -209,6 +222,37 @@ def test_bad_input_is_a_json_parse_error(argv):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert json.loads(run.stdout)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--ctx", "null", "--matrix", "-1e+16"],
+        ["verify", "-1e+16"],
+        ["decide", "--ctx", _GL1_CTX],
+        ["search", *_SP1_ARGS, "--height", "two"],
+        ["transpose"],
+        [],
+    ],
+    ids=["option-like-value", "option-like-positional", "missing-option",
+         "non-integer-option", "unknown-command", "no-command"],
+)
+def test_usage_errors_are_a_json_parse_error(argv):
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert run.stderr == ""
+    assert json.loads(run.stdout)["error"] == "ParseError"
+
+
+def test_help_still_prints_usage():
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", "decide", "--help"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: adjreal decide")
 
 
 # -- fuzzed JSON input ------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Polynomial gcd, squarefree structure, and Q(i) root extraction."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adjreal.gaussian import GaussRat, I, ONE, ZERO, gr, rational
 from adjreal.polynomial import (
+    _UNITS,
     ExactPoly,
+    _to_gaussian_integer_poly,
+    gaussian_divisors,
     linear_roots,
     poly_gcd,
     poly_xgcd,
@@ -132,6 +136,80 @@ def test_linear_roots_reexpansion_on_split_polys(root_ints):
     assert cof.degree() == 0
     assert ExactPoly.from_roots(found) * cof == p
     assert sorted(found, key=GaussRat.lex_key) == sorted(roots, key=GaussRat.lex_key)
+
+
+def _full_divisor_linear_roots(p: ExactPoly):
+    """Reference root search: every unit multiple of num/den over all
+    Gaussian-integer divisors num of the trailing and den of the leading
+    coefficient, with no bound and no early stop."""
+    roots = []
+    work = p
+    while work.degree() >= 1 and work[0].is_zero():
+        roots.append(ZERO)
+        work = ExactPoly(work.coeffs[1:])
+    if work.degree() >= 1:
+        gcoeffs = _to_gaussian_integer_poly(work)
+        candidates = set()
+        for num in gaussian_divisors(gcoeffs[0]):
+            for den in gaussian_divisors(gcoeffs[-1]):
+                base = GaussRat(rational(num.a), rational(num.b)) / GaussRat(
+                    rational(den.a), rational(den.b)
+                )
+                for u in _UNITS:
+                    candidates.add(GaussRat(rational(u.a), rational(u.b)) * base)
+        for cand in sorted(candidates, key=GaussRat.lex_key):
+            while work.degree() >= 1 and work(cand).is_zero():
+                roots.append(cand)
+                work = work // ExactPoly((-cand, ONE))
+    roots.sort(key=GaussRat.lex_key)
+    return roots, work
+
+
+_SQRT2 = X * X - ExactPoly.constant(gr(2))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ExactPoly.from_roots([gr(3), gr(-1)]) * _SQRT2,
+        ExactPoly.from_roots([gr("1/2"), gr(0, 2)]) * (X * X + X + ONE_P),
+        ExactPoly.from_roots([gr(2), gr(-3)]).scale(gr(6)),
+        ExactPoly.from_roots([gr("2/3"), gr(1, 1)]).scale(gr(0, 3)),
+        ExactPoly.from_roots([gr(1, -2)]).scale(gr(2, 1)) * _SQRT2,
+        ExactPoly.from_roots([gr(2), gr(2), gr(2), gr(-1), gr(0, 1), gr(0, 1)]),
+        ExactPoly.from_roots([ZERO, ZERO, gr("-5/2"), gr("-5/2")]),
+        # roots at the bound: |3+4i| = 5 = B, and for (x-4)(x+2) both
+        # Fujiwara terms are 4 = |4|
+        ExactPoly.from_roots([gr(3, 4)]),
+        ExactPoly.from_roots([gr(4), gr(-2)]),
+        ExactPoly.from_roots([gr(-7)]).scale(gr(3)),
+        _SQRT2 * _SQRT2,
+    ],
+    ids=[
+        "irrational-cofactor", "irreducible-quadratic", "non-monic",
+        "imaginary-leading", "complex-leading-irrational", "repeated",
+        "zero-and-repeated", "gaussian-at-bound", "quadratic-at-bound",
+        "linear-at-bound", "no-roots",
+    ],
+)
+def test_bounded_root_search_matches_full_divisor_search(p):
+    assert linear_roots(p) == _full_divisor_linear_roots(p)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(1, 3)),
+             max_size=4),
+    small_polys(max_degree=2),
+    st.sampled_from([gr(1), gr(-2), gr(0, 1), gr(3, -1), gr("2/5")]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounded_root_search_matches_full_divisor_search_random(roots, cofactor, lead):
+    if cofactor.is_zero():
+        cofactor = ONE_P
+    p = ExactPoly.from_roots(
+        [GaussRat(rational(a, d), rational(b, d)) for a, b, d in roots]
+    ) * cofactor.scale(lead)
+    assert linear_roots(p) == _full_divisor_linear_roots(p)
 
 
 def test_poly_json_round_trip():

@@ -412,16 +412,43 @@ def test_spectral_verdict_agrees_with_smith_route(pairs, zeros, extra, seed):
         assert (verdict.is_real == YES) == similar_to_negative(x)
 
 
+def _dense_sl(n):
+    """Densely conjugated diag(1..n/2, -1..-n/2) in sl(n), seeded by n."""
+    values = [gr(k) for k in range(1, n // 2 + 1)] + [gr(-k) for k in range(1, n // 2 + 1)]
+    return _conjugated_diagonal(random.Random(n), values, height=2)
+
+
 def test_decide_dense_sl16():
     """A densely conjugated sl(16) element with entries of about 20 bits;
     deciding it through the Smith form did not finish in 400 s."""
-    values = [gr(k) for k in range(1, 9)] + [gr(-k) for k in range(1, 9)]
-    x = _conjugated_diagonal(random.Random(16), values, height=2)
+    x = _dense_sl(16)
     assert max(abs(e.re.numerator).bit_length() for e in x.entries) >= 16
     v = decide_semisimple(x, LieContext("sl", "SL", 16))
     assert (v.is_real, v.is_strongly_real, v.reason) == (YES, YES, "NMod4")
     v = decide_semisimple(x, LieContext("gl", "GL", 16))
     assert v.reason == "SpectrumSymmetric"
+
+
+def test_decide_dense_sl24():
+    x = _dense_sl(24)
+    v = decide_semisimple(x, LieContext("sl", "SL", 24))
+    assert (v.is_real, v.is_strongly_real, v.reason) == (YES, YES, "NMod4")
+    v = decide_semisimple(x.plus_scalar(ONE), LieContext("gl", "GL", 24))
+    assert v.reason == "SpectrumAsymmetric"
+
+
+def test_witness_dense_sl16():
+    """The involutive reverser of the sl(16) element above.  Its chi(0) =
+    (8!)^2 has thousands of Gaussian divisors; only those inside the root
+    bound are tried as eigenvalues."""
+    x = _dense_sl(16)
+    cert = witness_general_semisimple(x, LieContext("sl", "SL", 16), True)
+    g = cert.reverser
+    assert cert.element == x and cert.claims_involution
+    assert g * x == -(x * g)
+    assert g * g == ExactMatrix.identity(16)
+    assert det(g) == 1
+    assert verify_certificate(cert).ok
 
 
 # -- typed self-checks ------------------------------------------------------------

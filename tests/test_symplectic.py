@@ -127,7 +127,8 @@ def test_sparse_triple_matches_dense_reference_on_mixed(parts, params):
 
 
 def test_validate_raises_typed_error_under_optimize():
-    """The triple's self-check is not an assert: python -O keeps it."""
+    """The triple's self-check and the model builder's partition check are
+    not asserts: python -O keeps them."""
     code = (
         "from adjreal.errors import SelfCheckFailed\n"
         "from adjreal.symplectic import Sl2Triple, nilpotent_from_partition, sl2_triple\n"
@@ -135,6 +136,10 @@ def test_validate_raises_typed_error_under_optimize():
         "bad = Sl2Triple(t.x, t.h.scale(2), t.y)\n"
         "try:\n"
         "    bad.validate()\n"
+        "except SelfCheckFailed as exc:\n"
+        "    print(__debug__, 'SelfCheckFailed', exc)\n"
+        "try:\n"
+        "    nilpotent_from_partition([1])\n"
         "except SelfCheckFailed as exc:\n"
         "    print(__debug__, 'SelfCheckFailed', exc)\n"
     )
@@ -145,7 +150,9 @@ def test_validate_raises_typed_error_under_optimize():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("False SelfCheckFailed"), run.stdout
+    lines = run.stdout.splitlines()
+    assert len(lines) == 2, run.stdout
+    assert all(line.startswith("False SelfCheckFailed") for line in lines), run.stdout
 
 
 def test_triple_rejects_zero_and_non_nilpotent():

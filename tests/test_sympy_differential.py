@@ -10,8 +10,14 @@ from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from adjreal.gaussian import GaussRat, gr, rational  # noqa: E402
-from adjreal.matrix import ExactMatrix, char_poly, eval_poly  # noqa: E402
-from adjreal.polynomial import ExactPoly  # noqa: E402
+from adjreal.matrix import (  # noqa: E402
+    ExactMatrix,
+    char_poly,
+    eval_poly,
+    hessenberg,
+    is_semisimple,
+)
+from adjreal.polynomial import ExactPoly, squarefree_part  # noqa: E402
 
 # zero, real, purely imaginary and mixed entries of low height
 ENTRIES = [
@@ -71,3 +77,44 @@ def test_eval_poly_matches_sympy_powers(m, coeffs):
 @given(matrices())
 def test_eval_poly_annihilates_by_cayley_hamilton(m):
     assert eval_poly(char_poly(m), m).is_zero()
+
+
+@st.composite
+def split_matrices(draw):
+    """Block-diagonal matrices, so the Hessenberg form splits into several
+    blocks: dense blocks, Jordan blocks (upper or lower) with eigenvalues
+    repeated across blocks, and zeroed columns."""
+    eigen = draw(st.lists(st.sampled_from(ENTRIES[:7]), min_size=1, max_size=2))
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["dense", "jordan", "jordan-lower"]))
+        if kind == "dense":
+            blocks.append(draw(matrices(max_size=3)))
+            continue
+        size = draw(st.integers(1, 3))
+        lam = draw(st.sampled_from(eigen))
+        rows = [[gr(0)] * size for _ in range(size)]
+        for k in range(size):
+            rows[k][k] = lam
+            if k + 1 < size:
+                if kind == "jordan":
+                    rows[k][k + 1] = gr(1)
+                else:
+                    rows[k + 1][k] = gr(1)
+        blocks.append(ExactMatrix.from_rows(rows))
+    x = ExactMatrix.block_diagonal(blocks)
+    rows = x.to_lists()
+    for j in draw(st.lists(st.integers(0, x.rows - 1), max_size=2)):
+        for row in rows:
+            row[j] = gr(0)
+    return ExactMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_matrices())
+def test_block_start_semisimplicity_and_hessenberg_form(m):
+    assert is_semisimple(m) == eval_poly(squarefree_part(char_poly(m)), m).is_zero()
+    h = hessenberg(m)
+    assert all(h[i, j].is_zero() for i in range(h.rows) for j in range(i - 1))
+    expected = [_from_qqi(c) for c in reversed(_domain_matrix(m).charpoly())]
+    assert list(char_poly(h).coeffs) == expected

@@ -33,18 +33,19 @@ from .symplectic import chain_decomposition, reverse_full, sl2_triple
 def _load_json_arg(text: str):
     """Accept inline JSON or a path to a JSON file."""
     text = text.strip()
-    if text.startswith("{") or text.startswith("["):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad inline JSON: {exc}") from exc
+    inline = text.startswith(("{", "["))
     try:
+        if inline:
+            return json.loads(text)
         with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {text}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON in {text}: {exc}") from exc
+    # ValueError covers bad JSON and bad UTF-8; too deep a nesting
+    # exhausts the decoder's recursion
+    except (ValueError, RecursionError) as exc:
+        where = "inline JSON" if inline else f"JSON in {text}"
+        raise ParseError(f"bad {where}: {exc}") from exc
 
 
 def _emit(payload, out_path: str | None = None) -> None:

@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over Q(i) and over Q(i)[x], plus a sparse
-solver for systems that are mostly zero.
+"""Exact linear algebra over Q(i) and over Q(i)[x].
 
-Everything here is deterministic: Gaussian elimination always takes the
-first nonzero pivot in column order, and the Smith-form reduction picks
-the minimal-degree nonzero entry with ties broken in row-major order, so
-repeated runs produce identical bases, kernels, and invariant factors.
+Everything here is deterministic.  Solutions, kernel bases, ranks and
+inverses are read off the reduced row echelon form, which is unique; one
+Gauss-Jordan elimination on sparse rows computes it for dense matrices
+and for the mostly-zero systems of ``solve_sparse`` alike.  The
+Smith-form reduction picks the minimal-degree nonzero entry with ties
+broken in row-major order, so repeated runs produce identical invariant
+factors.
 
 JSON wire format for matrices:
     {"rows": n, "cols": m, "entries": [["a/b+c/d*i", ...], ...]}
@@ -12,9 +14,15 @@ JSON wire format for matrices:
 
 from __future__ import annotations
 
-from .errors import InconsistentSystem, ParseError, SingularMatrix, SizeMismatch
+from .errors import (
+    InconsistentSystem,
+    ParseError,
+    SingularMatrix,
+    SizeMismatch,
+    SpectrumNotSplit,
+)
 from .gaussian import ONE, ZERO, GaussRat
-from .polynomial import ExactPoly, squarefree_part
+from .polynomial import ExactPoly, linear_roots, squarefree_part
 
 
 def json_int(value, what: str) -> int:
@@ -282,85 +290,25 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows, width):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(width):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def _rref(rows):
+    """Reduced row echelon form of rows given as {column: value} maps of
+    their nonzero entries (consumed).
 
-
-def solve_linear(a: ExactMatrix, b):
-    """Solve a x = b exactly.
-
-    Returns (particular, kernel_basis) where particular is a column vector
-    (free variables set to zero) and kernel_basis spans the solution space
-    of a x = 0.  Raises InconsistentSystem when no solution exists.
+    Returns {pivot column: row}, each row with 1 in its pivot column and
+    no entry in the other pivot columns.  Each row is reduced against
+    the pivots found so far; its first nonzero column becomes a new
+    pivot and is cleared from the earlier pivot rows.  The reduced row
+    echelon form is unique, so the result does not depend on the order
+    in which rows are taken: short rows go first, which keeps fill-in
+    low.
     """
-    if len(b) != a.rows:
-        raise SizeMismatch("right-hand side length mismatch")
-    rows = [a.row_list(i) + [b[i]] for i in range(a.rows)]
-    pivots = _rref(rows, a.cols + 1)
-    if a.cols in pivots:
-        raise InconsistentSystem("no solution")
-    particular = [ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        particular[c] = rows[r][a.cols]
-    return particular, _kernel_from_rref(rows, pivots, a.cols)
-
-
-def solve_sparse(columns, rhs):
-    """Solve sum_k x_k columns[k] = rhs exactly, for sparse columns and
-    right-hand side given as {row: value} maps of nonzero values.
-
-    Returns the particular solution ``solve_linear`` gives on the same
-    system (free variables set to zero), as a list.  Gauss-Jordan
-    elimination runs on sparse rows and keeps every pivot row reduced
-    against the other pivots.  The reduced row echelon form is unique,
-    so the pivot columns and the solution do not depend on the order in
-    which rows are taken.  Raises InconsistentSystem when no solution
-    exists.
-    """
-    ncols = len(columns)
-    rows: dict = {}
-    for k, col in enumerate(columns):
-        for r, v in col.items():
-            rows.setdefault(r, {})[k] = v
-    for r, v in rhs.items():
-        rows.setdefault(r, {})[ncols] = v
-    pivots: dict = {}  # pivot column -> row with 1 there, 0 in other pivots
-    # short rows first keeps fill-in low; the result is the same either way
-    for row in sorted(rows.values(), key=len):
+    pivots: dict = {}
+    for row in sorted(rows, key=len):
         for c in [c for c in row if c in pivots]:
             _eliminate(row, c, pivots[c])
         if not row:
             continue
         p = min(row)
-        if p == ncols:
-            raise InconsistentSystem("no solution")
         inv = row.pop(p).inverse()
         row = {k: v * inv for k, v in row.items()}
         for prow in pivots.values():
@@ -368,10 +316,7 @@ def solve_sparse(columns, rhs):
                 _eliminate(prow, p, row)
         row[p] = ONE
         pivots[p] = row
-    solution = [ZERO] * ncols
-    for p, row in pivots.items():
-        solution[p] = row.get(ncols, ZERO)
-    return solution
+    return pivots
 
 
 def _eliminate(row: dict, c: int, prow: dict):
@@ -388,30 +333,82 @@ def _eliminate(row: dict, c: int, prow: dict):
             row[k] = new
 
 
+def _sparse_rows(a: ExactMatrix):
+    """The rows of a as {column: value} maps of their nonzero entries."""
+    m, es = a.cols, a.entries
+    return [
+        {j: v for j, v in enumerate(es[i * m : (i + 1) * m]) if not v.is_zero()}
+        for i in range(a.rows)
+    ]
+
+
+def _kernel_from_rref(pivots: dict, ncols: int):
+    """Null space basis of the first ncols columns, one vector per free
+    column in increasing order."""
+    basis = {f: [ZERO] * ncols for f in range(ncols) if f not in pivots}
+    for f, vec in basis.items():
+        vec[f] = ONE
+    for p, row in pivots.items():
+        for k, v in row.items():
+            if k in basis:
+                basis[k][p] = -v
+    return list(basis.values())
+
+
+def _particular(pivots: dict, n: int):
+    """Solution with free variables set to zero of a reduced system whose
+    right-hand side is column n; InconsistentSystem if that is a pivot."""
+    if n in pivots:
+        raise InconsistentSystem("no solution")
+    solution = [ZERO] * n
+    for p, row in pivots.items():
+        solution[p] = row.get(n, ZERO)
+    return solution
+
+
+def solve_linear(a: ExactMatrix, b):
+    """Solve a x = b exactly.
+
+    Returns (particular, kernel_basis) where particular is a column vector
+    (free variables set to zero) and kernel_basis spans the solution space
+    of a x = 0.  Raises InconsistentSystem when no solution exists.
+    """
+    if len(b) != a.rows:
+        raise SizeMismatch("right-hand side length mismatch")
+    n = a.cols
+    rows = _sparse_rows(a)
+    for row, v in zip(rows, b):
+        if not v.is_zero():
+            row[n] = v
+    pivots = _rref(rows)
+    return _particular(pivots, n), _kernel_from_rref(pivots, n)
+
+
+def solve_sparse(columns, rhs):
+    """Solve sum_k x_k columns[k] = rhs exactly, for sparse columns and
+    right-hand side given as {row: value} maps of nonzero values.
+
+    Returns the particular solution ``solve_linear`` gives on the same
+    system (free variables set to zero), as a list.  Raises
+    InconsistentSystem when no solution exists.
+    """
+    n = len(columns)
+    rows: dict = {}
+    for k, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[k] = v
+    for r, v in rhs.items():
+        rows.setdefault(r, {})[n] = v
+    return _particular(_rref(rows.values()), n)
+
+
 def kernel(a: ExactMatrix):
     """Basis of the null space of a, deterministic."""
-    rows = [a.row_list(i) for i in range(a.rows)]
-    pivots = _rref(rows, a.cols)
-    return _kernel_from_rref(rows, pivots, a.cols)
-
-
-def _kernel_from_rref(rows, pivots, ncols):
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
-        basis.append(vec)
-    return basis
+    return _kernel_from_rref(_rref(_sparse_rows(a)), a.cols)
 
 
 def rank(a: ExactMatrix) -> int:
-    rows = [a.row_list(i) for i in range(a.rows)]
-    return len(_rref(rows, a.cols))
+    return len(_rref(_sparse_rows(a)))
 
 
 def det(a: ExactMatrix) -> GaussRat:
@@ -448,11 +445,15 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     if not a.is_square():
         raise SizeMismatch("inverse of a non-square matrix")
     n = a.rows
-    rows = [a.row_list(i) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    pivots = _rref(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
+    rows = _sparse_rows(a)
+    for i, row in enumerate(rows):
+        row[n + i] = ONE
+    pivots = _rref(rows)
+    if any(c not in pivots for c in range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return ExactMatrix.from_rows([r[n:] for r in rows])
+    return ExactMatrix(
+        n, n, [pivots[i].get(n + j, ZERO) for i in range(n) for j in range(n)]
+    )
 
 
 def is_invertible(a: ExactMatrix) -> bool:
@@ -694,6 +695,19 @@ def is_semisimple(x: ExactMatrix, chi: ExactPoly | None = None) -> bool:
         if not all(e.is_zero() for e in v):
             return False
     return True
+
+
+def eigenspaces(x: ExactMatrix, chi: ExactPoly):
+    """[(lam, kernel basis of X - lam)] for the distinct eigenvalues lam of
+    X, whose characteristic polynomial is chi, sorted by GaussRat.lex_key;
+    raises SpectrumNotSplit when chi has an irrational factor."""
+    roots, cofactor = linear_roots(chi)
+    if cofactor.degree() > 0:
+        raise SpectrumNotSplit(
+            f"characteristic polynomial has irrational factor {cofactor}"
+        )
+    distinct = sorted(set(roots), key=GaussRat.lex_key)
+    return [(lam, kernel(x.plus_scalar(-lam))) for lam in distinct]
 
 
 def is_nilpotent(x: ExactMatrix) -> bool:

@@ -21,6 +21,7 @@ from .errors import (
     InconsistentSystem,
     SearchSpaceTooLarge,
     SelfCheckFailed,
+    SpectrumNotSplit,
 )
 from .gaussian import GaussRat, ONE, ZERO, rational
 from .liecore import LieContext, algebra_member, group_member, reverser_linear_space
@@ -28,14 +29,14 @@ from .matrix import (
     ExactMatrix,
     char_poly,
     det,
+    eigenspaces,
     hessenberg,
     inverse,
     is_semisimple,
-    kernel,
     rank,
     solve_linear,
 )
-from .polynomial import ExactPoly, linear_roots, poly_gcd, poly_lcm
+from .polynomial import ExactPoly, poly_gcd, poly_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +169,22 @@ def _scalar_order_key(v: GaussRat):
     return (h, cat, v.re, v.im)
 
 
+def _height_fractions(height: int):
+    """The distinct rationals p/q with |p|, q <= height, q >= 1."""
+    return {
+        rational(p, q) for p in range(-height, height + 1) for q in range(1, height + 1)
+    }
+
+
+def height_pool_size(height: int) -> int:
+    """len(height_pool(height)), without building the pool."""
+    return len(_height_fractions(height)) ** 2
+
+
 def height_pool(height: int):
     """Gaussian rationals p/q + (r/s)i with |p|,|q|,|r|,|s| <= height,
     deterministically ordered from simplest to most complex."""
-    fracs = set()
-    for p in range(-height, height + 1):
-        for q in range(1, height + 1):
-            fracs.add(rational(p, q))
+    fracs = _height_fractions(height)
     pool = {GaussRat(re, im) for re in fracs for im in fracs}
     return sorted(pool, key=_scalar_order_key)
 
@@ -201,14 +211,6 @@ class _StructuredInapplicable(Exception):
     pass
 
 
-def _eigen_split_or_raise(x: ExactMatrix, chi: ExactPoly):
-    roots, cofactor = linear_roots(chi)
-    if cofactor.degree() > 0:
-        raise _StructuredInapplicable
-    distinct = sorted(set(roots), key=GaussRat.lex_key)
-    return {lam: kernel(x.plus_scalar(-lam)) for lam in distinct}
-
-
 def _structured_involutions(x: ExactMatrix, height: int, limit: int):
     """Lazily enumerate every involution of the anticommutant whose
     eigen-block entries come from the height pool.
@@ -227,7 +229,10 @@ def _structured_involutions(x: ExactMatrix, height: int, limit: int):
     chi = char_poly(h)
     if not is_semisimple(h, chi):
         raise _StructuredInapplicable
-    spaces = _eigen_split_or_raise(x, chi)
+    try:
+        spaces = dict(eigenspaces(x, chi))
+    except SpectrumNotSplit:
+        raise _StructuredInapplicable from None
     zero = GaussRat.from_int(0)
     kernel_basis = spaces.get(zero, [])
     if len(kernel_basis) > 1:
@@ -243,17 +248,18 @@ def _structured_involutions(x: ExactMatrix, height: int, limit: int):
             # asymmetric multiplicities: no involution exists at all
             return
         reps.append(lam)
-    pool = height_pool(height)
-    nonzero_pool = [c for c in pool if not c.is_zero()]
     block_sizes = [len(spaces[lam]) for lam in reps]
+    size = height_pool_size(height)  # the pool holds zero once
     total = 1
     for k in block_sizes:
-        total *= len(pool if k > 1 else nonzero_pool) ** (k * k)
+        total *= (size if k > 1 else size - 1) ** (k * k)
     total *= 2 if kernel_basis else 1
     if total > limit:
         raise SearchSpaceTooLarge(
             f"structured involution space has {total} candidates (limit {limit})"
         )
+    pool = height_pool(height)
+    nonzero_pool = [c for c in pool if not c.is_zero()]
     columns = []
     for lam in reps:
         columns.extend(spaces[lam])
@@ -366,12 +372,12 @@ def search_reverser(
         except _StructuredInapplicable:
             pass
     basis = reverser_linear_space(x)
-    pool = height_pool(height)
-    total = len(pool) ** len(basis)
+    total = height_pool_size(height) ** len(basis)
     if total > candidate_limit:
         raise SearchSpaceTooLarge(
             f"{total} candidates exceed the limit {candidate_limit}"
         )
+    pool = height_pool(height)
     checked = 0
     n = x.rows
     for combo in itertools.product(pool, repeat=len(basis)):
@@ -526,31 +532,5 @@ def sp1_involution_obstruction() -> ObstructionRecord:
     )
     rec.checks.append(
         ("at (b,c) = (2,1): det -2, outside the group", det_g.evaluate(two, one) == -2)
-    )
-    return rec
-
-
-def so2_reverser_obstruction() -> ObstructionRecord:
-    """Symbolic form of the rank-two rotation dichotomy: on the family
-    g = a diag(1,-1) + b (E12 + E21) (the anticommutant of the canonical
-    rotation block), g^t g = (a^2 + b^2) I and det g = -(a^2 + b^2); an
-    orthogonal member therefore always has determinant -1, so none lies
-    in the special orthogonal group."""
-    zero = BiPoly.const(0)
-    a, b = BiPoly.b(), BiPoly.c()
-    g = [[a, b], [b, -a]]
-    gt_g = _sym_mul_2x2([[g[0][0], g[1][0]], [g[0][1], g[1][1]]], g)
-    norm = a * a + b * b
-    det_g = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    rec = ObstructionRecord("so2-reverser-obstruction")
-    rec.checks.append(
-        (
-            "g^t g = (a^2+b^2) I as a polynomial identity",
-            gt_g[0][0] == norm and gt_g[1][1] == norm
-            and gt_g[0][1].is_zero() and gt_g[1][0].is_zero(),
-        )
-    )
-    rec.checks.append(
-        ("det g = -(a^2+b^2) as a polynomial identity", det_g == -norm)
     )
     return rec

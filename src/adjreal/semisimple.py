@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
     SelfCheckFailed,
     SizeMismatch,
-    SpectrumNotSplit,
 )
 from .gaussian import I, ONE, ZERO, GaussRat
 from .liecore import (
@@ -38,17 +37,17 @@ from .liecore import (
     build_canonical,
     algebra_member,
     jn_matrix,
-    kernel,
 )
 from .matrix import (
     ExactMatrix,
     char_poly,
     det,
+    eigenspaces,
     hessenberg,
     inverse,
     is_semisimple,
 )
-from .polynomial import ExactPoly, linear_roots, squarefree_decomposition
+from .polynomial import ExactPoly, squarefree_decomposition
 
 YES = "yes"
 NO = "no"
@@ -407,19 +406,6 @@ def witness_semisimple(
 # ---------------------------------------------------------------------------
 
 
-def _eigen_data(x: ExactMatrix, chi: ExactPoly):
-    """Sorted distinct Q(i) eigenvalues of x, whose characteristic
-    polynomial is chi, with kernel bases; raises SpectrumNotSplit when chi
-    has an irrational factor."""
-    roots, cofactor = linear_roots(chi)
-    if cofactor.degree() > 0:
-        raise SpectrumNotSplit(
-            f"characteristic polynomial has irrational factor {cofactor}"
-        )
-    distinct = sorted(set(roots), key=GaussRat.lex_key)
-    return [(lam, kernel(x.plus_scalar(-lam))) for lam in distinct]
-
-
 def _bilinear(form: ExactMatrix | None):
     if form is None:
         return lambda u, v: sum(
@@ -521,7 +507,7 @@ def witness_general_semisimple(
     if x.is_zero():
         cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, want_involution)
         return _verified(cert, "identity witness of the zero element")
-    eigen = _eigen_data(x, chi)
+    eigen = eigenspaces(x, chi)
     _require_granted(_spectral_verdict(chi, ctx), want_involution)
     if ctx.algebra in ("gl", "sl"):
         values, columns = [], []

@@ -298,8 +298,7 @@ def _stack_rows(mats):
 def chain_decomposition(triple: Sl2Triple) -> SymplecticChainData:
     """Decompose C^{2n} into chains for the triple and fix head bases."""
     x, h, y = triple.x, triple.h, triple.y
-    size = x.rows
-    n = size // 2
+    n = x.rows // 2
     weights, cofactor = linear_roots(char_poly(h))
     if cofactor.degree() > 0:
         raise SelfCheckFailed("weights must split over Q(i)")
@@ -308,7 +307,6 @@ def chain_decomposition(triple: Sl2Triple) -> SymplecticChainData:
     lowest = sorted(
         {w for w in weights if w.re <= 0}, key=GaussRat.lex_key
     )
-    ident = ExactMatrix.identity(size)
     j = jn_matrix(n)
     counts: dict = {}
     heads: dict = {}
@@ -316,7 +314,7 @@ def chain_decomposition(triple: Sl2Triple) -> SymplecticChainData:
     parts = []
     for w in lowest:
         d = 1 - int(w.re)
-        space = kernel(_stack_rows([y, h - ident.scale(w)]))
+        space = kernel(_stack_rows([y, h.plus_scalar(-w)]))
         if not space:
             continue
         form = _bilinear(j * x.power(d - 1))
@@ -414,12 +412,11 @@ def build_tau(xsd_map: dict, cd: SymplecticChainData) -> ExactMatrix:
     tau_blocks: dict = {}
     for d in cd.parts:
         xsd = xsd_map[d]
-        t = cd.counts[d]
         pairing = _bilinear(cd.gram[d])
         if xsd.is_zero():
-            tau_blocks[d] = ExactMatrix.identity(t)
+            tau_blocks[d] = ExactMatrix.identity(cd.counts[d])
             continue
-        tau_blocks[d] = _form_relative_reverser(xsd, pairing, t, odd=d % 2 == 1)
+        tau_blocks[d] = _form_relative_reverser(xsd, pairing, odd=d % 2 == 1)
         if not (tau_blocks[d] * xsd + xsd * tau_blocks[d]).is_zero():
             raise SelfCheckFailed("tau block fails to reverse")
         g = cd.gram[d]
@@ -433,9 +430,7 @@ def build_tau(xsd_map: dict, cd: SymplecticChainData) -> ExactMatrix:
     return cd.basis * big * inverse(cd.basis)
 
 
-def _form_relative_reverser(
-    xsd: ExactMatrix, pairing, t: int, odd: bool
-) -> ExactMatrix:
+def _form_relative_reverser(xsd: ExactMatrix, pairing, odd: bool) -> ExactMatrix:
     """Involution-like swap of the +/- eigenspaces of xsd, exactly
     preserving the given bilinear form (no normalization needed: the
     second basis is solved to be dual to the first)."""
@@ -445,15 +440,14 @@ def _form_relative_reverser(
             "semisimple block has eigenvalues outside Q(i)"
         )
     distinct = sorted(set(roots), key=GaussRat.lex_key)
-    ident = ExactMatrix.identity(t)
     columns = []
     images = []
     eps = -ONE if odd else ONE
     for lam in distinct:
         if lam.is_zero() or lam != _pair_rep(lam):
             continue
-        us = kernel(xsd - ident.scale(lam))
-        ws_raw = kernel(xsd + ident.scale(lam))
+        us = kernel(xsd.plus_scalar(-lam))
+        ws_raw = kernel(xsd.plus_scalar(lam))
         if len(us) != len(ws_raw):
             raise SelfCheckFailed("asymmetric eigenspaces in sp block")
         ws = _dual_basis(us, ws_raw, pairing, ONE)

@@ -187,6 +187,11 @@ _ROTATION_CERT = json.dumps({
 })
 _GL1_CTX = '{"algebra":"gl","group":"GL","n":1}'
 _ONE_BY_ONE = '{"rows":1,"cols":1,"entries":[["1"]]}'
+# stands for a file whose first byte is 0xff, written by the test
+_BAD_UTF8_FILE = "<bad-utf8-file>"
+# nested past the decoder's recursion limit, yet one argument stays under
+# the kernel's 128 KiB per-argument cap
+_DEEP_JSON = "[" * 50000 + "]" * 50000
 _SP1_ARGS = ["--ctx", '{"algebra":"sp","group":"Sp","n":1}',
              "--matrix", '{"rows":2,"cols":2,"entries":[["3","0"],["0","-3"]]}']
 
@@ -210,12 +215,17 @@ _SP1_ARGS = ["--ctx", '{"algebra":"sp","group":"Sp","n":1}',
          "--matrix", '{"rows":1,"cols":"1","entries":[["1"]]}'],
         ["decide", "--ctx", _GL1_CTX,
          "--matrix", '{"rows":true,"cols":1,"entries":[["1"]]}'],
+        ["decide", "--ctx", _BAD_UTF8_FILE, "--matrix", _ONE_BY_ONE],
+        ["decide", "--ctx", _DEEP_JSON, "--matrix", _ONE_BY_ONE],
     ],
     ids=["claim-string", "integer-entries", "criterion-9", "criterion-0",
          "height-minus-1", "height-0", "n-true", "n-float", "rows-float",
-         "cols-string", "rows-true"],
+         "cols-string", "rows-true", "file-not-utf8", "nesting-too-deep"],
 )
-def test_bad_input_is_a_json_parse_error(argv):
+def test_bad_input_is_a_json_parse_error(argv, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    argv = [str(bad) if a == _BAD_UTF8_FILE else a for a in argv]
     run = subprocess.run(
         [sys.executable, "-m", "adjreal.cli", *argv], capture_output=True, text=True
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from adjreal.errors import InconsistentSystem
+from adjreal.errors import InconsistentSystem, SingularMatrix
 from adjreal.gaussian import I, ONE, ZERO, gr
 from adjreal.matrix import (
     ExactMatrix,
@@ -16,6 +16,7 @@ from adjreal.matrix import (
     is_semisimple,
     kernel,
     minimal_polynomial,
+    rank,
     similar_to_negative,
     smith_invariant_factors,
     solve_linear,
@@ -64,27 +65,121 @@ def _sparse_columns(a):
     ]
 
 
-def test_solve_sparse_matches_dense_particular_solution(rng):
-    """Random sparse, rank-deficient systems: the sparse solve returns
-    the dense particular solution and agrees on inconsistency."""
-    pool = [ZERO] * 6 + list(SMALL_SCALARS[1:])
-    for _ in range(60):
-        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
-        a = ExactMatrix.from_rows(
-            [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+def _reference_rref(rows, width):
+    """Dense Gauss-Jordan elimination, first nonzero pivot in column
+    order: the reference the sparse engine must match.  Reduces rows in
+    place and returns the pivot columns."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(width):
+        pivot_row = None
+        for i in range(r, nrows):
+            if not rows[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [e * inv for e in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f.is_zero():
+                continue
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _reference_kernel(rows, pivots, ncols):
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        basis.append(vec)
+    return basis
+
+
+def _random_system_matrix(rng, rows, cols, dense):
+    pool = list(SMALL_SCALARS[1:]) if dense else [ZERO] * 6 + list(SMALL_SCALARS[1:])
+    return ExactMatrix.from_rows(
+        [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _random_system(rng):
+    """Sparse or dense, often rank-deficient (a product through a
+    narrower inner dimension); b consistent by construction half the
+    time and random otherwise."""
+    rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+    dense = rng.random() < 0.5
+    if rng.random() < 0.4:
+        inner = rng.randrange(1, min(rows, cols) + 1)
+        a = _random_system_matrix(rng, rows, inner, dense) * _random_system_matrix(
+            rng, inner, cols, dense
         )
-        if rng.random() < 0.5:  # consistent by construction
-            b = a.mul_vector([rng.choice(pool) for _ in range(cols)])
-        else:
-            b = [rng.choice(pool) for _ in range(rows)]
+    else:
+        a = _random_system_matrix(rng, rows, cols, dense)
+    pool = [ZERO] * 3 + list(SMALL_SCALARS[1:])
+    if rng.random() < 0.5:
+        b = a.mul_vector([rng.choice(pool) for _ in range(cols)])
+    else:
+        b = [rng.choice(pool) for _ in range(rows)]
+    return a, b
+
+
+def test_solve_sparse_matches_dense_particular_solution(rng):
+    """On random sparse and dense, rank-deficient and inconsistent
+    systems, solve_linear (particular solution and kernel), solve_sparse,
+    kernel and rank all give what the dense reference elimination gives."""
+    for _ in range(200):
+        a, b = _random_system(rng)
+        aug = [a.row_list(i) + [b[i]] for i in range(a.rows)]
+        pivots = _reference_rref(aug, a.cols + 1)
         rhs = {i: v for i, v in enumerate(b) if not v.is_zero()}
-        try:
-            expected, _ = solve_linear(a, b)
-        except InconsistentSystem:
+        if a.cols in pivots:
+            with pytest.raises(InconsistentSystem):
+                solve_linear(a, b)
             with pytest.raises(InconsistentSystem):
                 solve_sparse(_sparse_columns(a), rhs)
-            continue
-        assert solve_sparse(_sparse_columns(a), rhs) == expected
+        else:
+            particular = [ZERO] * a.cols
+            for r, c in enumerate(pivots):
+                particular[c] = aug[r][a.cols]
+            expected = (particular, _reference_kernel(aug, pivots, a.cols))
+            assert solve_linear(a, b) == expected
+            assert solve_sparse(_sparse_columns(a), rhs) == particular
+        plain = a.to_lists()
+        pivots = _reference_rref(plain, a.cols)
+        assert kernel(a) == _reference_kernel(plain, pivots, a.cols)
+        assert rank(a) == len(pivots)
+
+
+def test_inverse_matches_dense_reference(rng):
+    """Random sparse and dense square matrices, some singular."""
+    for _ in range(120):
+        n = rng.randrange(1, 7)
+        a = _random_system_matrix(rng, n, n, rng.random() < 0.5)
+        rows = [
+            a.row_list(i) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)
+        ]
+        pivots = _reference_rref(rows, 2 * n)
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(SingularMatrix):
+                inverse(a)
+        else:
+            assert inverse(a) == ExactMatrix.from_rows([r[n:] for r in rows])
 
 
 def test_invariant_factors_distinct_diag():

@@ -1,5 +1,7 @@
 """Cross-checks: cyclic canonical forms, bounded search, symbolic proofs."""
 
+import time
+
 import pytest
 
 from adjreal.certificates import verify_certificate
@@ -13,14 +15,16 @@ from adjreal.matrix import (
     inverse,
 )
 from adjreal.oracle import (
+    BiPoly,
     _coprime_split,
+    _sym_mul_2x2,
     enumerate_involutive_reversers,
     height_pool,
+    height_pool_size,
     involution_determinant_census,
     rcf_invariant_factors,
     rcf_similar,
     search_reverser,
-    so2_reverser_obstruction,
     sp1_involution_obstruction,
 )
 from adjreal.polynomial import ExactPoly, poly_gcd, poly_lcm
@@ -76,6 +80,20 @@ def test_height_pool_counts_and_order():
     p2 = height_pool(2)
     assert len(p2) == 49
     assert all(v in p2 for v in p1)
+    assert [height_pool_size(h) for h in range(1, 6)] == [
+        len(height_pool(h)) for h in range(1, 6)
+    ]
+
+
+@pytest.mark.parametrize("involution", [False, True])
+def test_search_limit_is_checked_before_the_pool_is_built(involution):
+    """At height 200 the pool would hold about 2.4e9 scalars; the search
+    must refuse from its size alone."""
+    x = ExactMatrix.diagonal([1, -1])
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge):
+        search_reverser(x, LieContext("sl", "SL", 2), 200, involution)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_search_finds_plain_reverser_rank_two():
@@ -144,7 +162,18 @@ def test_sp1_obstruction_record():
 
 
 def test_so2_obstruction_record():
-    assert so2_reverser_obstruction().passed
+    """The rank-two rotation dichotomy, symbolically: on the family
+    g = a diag(1,-1) + b (E12 + E21) (the anticommutant of the canonical
+    rotation block), g^t g = (a^2 + b^2) I and det g = -(a^2 + b^2); an
+    orthogonal member therefore always has determinant -1, so none lies
+    in the special orthogonal group."""
+    a, b = BiPoly.b(), BiPoly.c()
+    g = [[a, b], [b, -a]]
+    gt_g = _sym_mul_2x2([[g[0][0], g[1][0]], [g[0][1], g[1][1]]], g)
+    norm = a * a + b * b
+    assert gt_g[0][0] == norm and gt_g[1][1] == norm
+    assert gt_g[0][1].is_zero() and gt_g[1][0].is_zero()
+    assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == -norm
 
 
 def test_search_certificates_always_verify(rng):

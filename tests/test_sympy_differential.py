@@ -16,6 +16,8 @@ from adjreal.matrix import (  # noqa: E402
     eval_poly,
     hessenberg,
     is_semisimple,
+    kernel,
+    rank,
 )
 from adjreal.polynomial import ExactPoly, squarefree_part  # noqa: E402
 
@@ -37,6 +39,19 @@ def matrices(draw, max_size=8):
     return ExactMatrix.from_rows(rows)
 
 
+@st.composite
+def rectangular_matrices(draw):
+    """Any shape up to 7x7, with some rows replaced by multiples of others
+    so that the rank often falls below min(rows, cols)."""
+    r, c = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [[draw(st.sampled_from(ENTRIES)) for _ in range(c)] for _ in range(r)]
+    for i in draw(st.lists(st.integers(0, r - 1), max_size=3)):
+        j = draw(st.integers(0, r - 1))
+        f = draw(st.sampled_from(ENTRIES))
+        rows[i] = [f * e for e in rows[j]]
+    return ExactMatrix.from_rows(rows)
+
+
 def _to_qqi(v: GaussRat):
     return QQ_I(
         QQ(v.re.numerator, v.re.denominator), QQ(v.im.numerator, v.im.denominator)
@@ -53,6 +68,16 @@ def _from_qqi(c) -> GaussRat:
 def _domain_matrix(m: ExactMatrix):
     rows = [[_to_qqi(e) for e in m.row_list(i)] for i in range(m.rows)]
     return DomainMatrix(rows, (m.rows, m.cols), QQ_I)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rectangular_matrices())
+def test_rank_and_nullity_match_sympy(m):
+    expected = _domain_matrix(m).rank()
+    assert rank(m) == expected
+    basis = kernel(m)
+    assert len(basis) == m.cols - expected
+    assert all(e.is_zero() for v in basis for e in m.mul_vector(v))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ input errors and failed certificate verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,11 +49,15 @@ def _load_json_arg(text: str):
         raise ParseError(f"bad {where}: {exc}") from exc
 
 
-def _emit(payload, out_path: str | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(payload, out_path: str | None = None, indent: int | None = 2) -> None:
+    """Print payload as JSON and write the same text to out_path, if any."""
+    text = json.dumps(payload, indent=indent, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from exc
     print(text)
 
 
@@ -74,7 +79,10 @@ def _cmd_witness(args) -> int:
     try:
         cert = witness_general_semisimple(mat, ctx, args.involution)
     except (NotRealizable, SpectrumNotSplit) as exc:
-        _emit({"witness": None, "error": type(exc).__name__, "message": str(exc)})
+        _emit(
+            {"witness": None, "error": type(exc).__name__, "message": str(exc)},
+            args.out,
+        )
         return 1
     _emit(cert.to_json(), args.out)
     return 0
@@ -110,7 +118,10 @@ def _cmd_reverse(args) -> int:
     try:
         cert = reverse_full(mat)
     except (SpectrumNotSplit,) as exc:
-        _emit({"witness": None, "error": type(exc).__name__, "message": str(exc)})
+        _emit(
+            {"witness": None, "error": type(exc).__name__, "message": str(exc)},
+            args.out,
+        )
         return 1
     _emit(cert.to_json(), args.out)
     return 0
@@ -123,7 +134,10 @@ def _cmd_search(args) -> int:
     try:
         outcome = search_reverser(mat, ctx, args.height, args.involution)
     except SearchSpaceTooLarge as exc:
-        _emit({"outcome": "aborted", "error": "SearchSpaceTooLarge", "message": str(exc)})
+        _emit(
+            {"outcome": "aborted", "error": "SearchSpaceTooLarge", "message": str(exc)},
+            args.out,
+        )
         return 2
     _emit(outcome.to_json(), args.out)
     return 0 if outcome.found else 1
@@ -213,16 +227,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    out = None
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
+        out = getattr(args, "out", None)
         return args.func(args)
-    except ParseError as exc:
-        print(json.dumps({"error": "ParseError", "message": str(exc)}))
-        return 2
     except AdjRealError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        error = {"error": type(exc).__name__, "message": str(exc)}
+    try:
+        _emit(error, out, indent=None)
+    except ParseError as exc:  # --out itself cannot be written
+        _emit({"error": "ParseError", "message": str(exc)}, indent=None)
+    return 2
 
 
 if __name__ == "__main__":

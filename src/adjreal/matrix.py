@@ -3,7 +3,11 @@
 Everything here is deterministic.  Solutions, kernel bases, ranks and
 inverses are read off the reduced row echelon form, which is unique; one
 Gauss-Jordan elimination on sparse rows computes it for dense matrices
-and for the mostly-zero systems of ``solve_sparse`` alike.  The
+and for the mostly-zero systems of ``solve_sparse`` alike.  Products,
+matrix-vector products and determinants run over Gaussian integers: rows
+(and, for a product's right factor, columns) are cleared of their
+denominators, the sums are taken in Python ints, and the result is
+divided back once per entry, so the values are the same exact ones.  The
 Smith-form reduction picks the minimal-degree nonzero entry with ties
 broken in row-major order, so repeated runs produce identical invariant
 factors.
@@ -14,6 +18,8 @@ JSON wire format for matrices:
 
 from __future__ import annotations
 
+import math
+
 from .errors import (
     InconsistentSystem,
     ParseError,
@@ -21,7 +27,7 @@ from .errors import (
     SizeMismatch,
     SpectrumNotSplit,
 )
-from .gaussian import ONE, ZERO, GaussRat
+from .gaussian import ONE, ZERO, GaussRat, rational
 from .polynomial import ExactPoly, linear_roots, squarefree_part
 
 
@@ -30,6 +36,20 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def _cleared(values):
+    """(d, [(index, re, im)]) for a sequence of GaussRat values: d is the
+    lcm of their denominators and re + im*i = d * value in Python ints,
+    listed for the nonzero values only."""
+    d = 1
+    for v in values:
+        d = math.lcm(d, v.re.denominator, v.im.denominator)
+    return d, [
+        (k, v.re.numerator * (d // v.re.denominator),
+         v.im.numerator * (d // v.im.denominator))
+        for k, v in enumerate(values) if v.re or v.im
+    ]
 
 
 class ExactMatrix:
@@ -191,19 +211,29 @@ class ExactMatrix:
             raise SizeMismatch("inner dimensions differ")
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
+        # row i of A is a_i / d_i and column j of B is b_j / e_j over Z[i],
+        # so entry (i, j) of the product is (a_i . b_j) / (d_i e_j)
+        right = [[] for _ in range(k)]  # row t of B: (j, re, im)
+        col_den = []
+        for j in range(m):
+            e, col = _cleared(b[j::m])
+            col_den.append(e)
+            for t, br, bi in col:
+                right[t].append((j, br, bi))
         flat = [ZERO] * (n * m)
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for t in range(k):
-                av = arow[t]
-                if av.is_zero():
-                    continue
-                brow = b[t * m : (t + 1) * m]
-                base = i * m
-                for j in range(m):
-                    bv = brow[j]
-                    if not bv.is_zero():
-                        flat[base + j] = flat[base + j] + av * bv
+            d, row = _cleared(a[i * k : (i + 1) * k])
+            acc_re, acc_im = [0] * m, [0] * m
+            for t, ar, ai in row:
+                for j, br, bi in right[t]:
+                    acc_re[j] += ar * br - ai * bi
+                    acc_im[j] += ar * bi + ai * br
+            base = i * m
+            for j in range(m):
+                re, im = acc_re[j], acc_im[j]
+                if re or im:
+                    den = d * col_den[j]
+                    flat[base + j] = GaussRat(rational(re, den), rational(im, den))
         return ExactMatrix(n, m, flat)
 
     __rmul__ = scale
@@ -211,14 +241,7 @@ class ExactMatrix:
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise SizeMismatch("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            s = ZERO
-            for j, v in enumerate(vec):
-                if not v.is_zero():
-                    s = s + self[i, j] * v
-            out.append(s)
-        return out
+        return list((self * ExactMatrix(len(vec), 1, vec)).entries)
 
     def transpose(self) -> "ExactMatrix":
         flat = [ZERO] * (self.rows * self.cols)
@@ -412,33 +435,49 @@ def rank(a: ExactMatrix) -> int:
 
 
 def det(a: ExactMatrix) -> GaussRat:
-    """Determinant by exact elimination with first-nonzero pivoting."""
+    """Determinant by Bareiss fraction-free elimination with first-nonzero
+    pivoting, on the rows cleared to Gaussian integers.
+
+    Row i is a_i / d_i with a_i over Z[i], so det A = det(a) / prod d_i.
+    Each Bareiss step divides exactly, in Z[i], by the previous pivot.
+    """
     if not a.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
     n = a.rows
-    rows = [a.row_list(i) for i in range(n)]
-    out = ONE
+    re, im = [], []
+    den = 1
+    for i in range(n):
+        d, row = _cleared(a.entries[i * n : (i + 1) * n])
+        den *= d
+        row_re, row_im = [0] * n, [0] * n
+        for j, r, m in row:
+            row_re[j], row_im[j] = r, m
+        re.append(row_re)
+        im.append(row_im)
+    sign, pr, pi = 1, 1, 0  # pr + pi*i is the previous pivot
     for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
+        p = next((i for i in range(c, n) if re[i][c] or im[i][c]), None)
+        if p is None:
             return ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            out = -out
-        pv = rows[c][c]
-        out = out * pv
-        inv = pv.inverse()
+        if p != c:
+            re[c], re[p], im[c], im[p] = re[p], re[c], im[p], im[c]
+            sign = -sign
+        cr, ci = re[c][c], im[c][c]
+        norm = pr * pr + pi * pi
+        top_re, top_im = re[c], im[c]
         for i in range(c + 1, n):
-            f = rows[i][c]
-            if f.is_zero():
-                continue
-            f = f * inv
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
+            row_re, row_im = re[i], im[i]
+            fr, fi = row_re[c], row_im[c]
+            for j in range(c + 1, n):
+                # (m_ij * m_cc - m_ic * m_cj) / previous pivot, exact in Z[i]
+                xr = (row_re[j] * cr - row_im[j] * ci
+                      - fr * top_re[j] + fi * top_im[j])
+                xi = (row_re[j] * ci + row_im[j] * cr
+                      - fr * top_im[j] - fi * top_re[j])
+                row_re[j] = (xr * pr + xi * pi) // norm
+                row_im[j] = (xi * pr - xr * pi) // norm
+        pr, pi = cr, ci
+    return GaussRat(rational(sign * pr, den), rational(sign * pi, den))
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:

@@ -394,8 +394,11 @@ def _gint_gcd(x: Gint, y: Gint) -> Gint:
     return x
 
 
-def gaussian_divisors(z: Gint):
-    """All divisors of z != 0 up to unit multiples (one per class)."""
+def gaussian_divisors(z: Gint, max_norm: int | None = None):
+    """All divisors of z != 0 up to unit multiples (one per class), or
+    only those of norm at most max_norm >= 1.  Each divisor is grown one
+    prime factor at a time and norms only grow, so growth stops at the
+    limit."""
     if z.norm() == 0:
         raise ZeroDivisionError("divisors of zero requested")
     powers = []
@@ -410,15 +413,15 @@ def gaussian_divisors(z: Gint):
                 powers.append((g, e))
     divisors = [Gint(1, 0)]
     for g, e in powers:
-        divisors = [d * _gint_pow(g, k) for d in divisors for k in range(e + 1)]
+        grown = []
+        for d in divisors:
+            for _ in range(e + 1):
+                if max_norm is not None and d.norm() > max_norm:
+                    break
+                grown.append(d)
+                d = d * g
+        divisors = grown
     return divisors
-
-
-def _gint_pow(g: Gint, k: int) -> Gint:
-    out = Gint(1, 0)
-    for _ in range(k):
-        out = out * g
-    return out
 
 
 def _to_gaussian_integer_poly(p: ExactPoly):
@@ -487,8 +490,9 @@ def linear_roots(p: ExactPoly):
         gcoeffs = _to_gaussian_integer_poly(work)
         bound = _root_bound(gcoeffs) ** 2
         dens = gaussian_divisors(gcoeffs[-1])
+        max_num = bound * max(den.norm() for den in dens)
         candidates = set()
-        for num in gaussian_divisors(gcoeffs[0]):
+        for num in gaussian_divisors(gcoeffs[0], max_num):
             for den in dens:
                 if num.norm() > bound * den.norm():
                     continue

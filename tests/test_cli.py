@@ -110,6 +110,55 @@ def test_denied_witness_exit_one(tmp_path, capsys):
     assert payload["error"] == "NotRealizable"
 
 
+def test_out_is_rewritten_by_refusals_and_errors(tmp_path, capsys):
+    """Every JSON document printed after the arguments parse also goes to
+    --out, so a refusal or an error never leaves an older certificate
+    there to be verified."""
+    out = str(tmp_path / "c.json")
+    good = _matrix_file(tmp_path, "h.json", ExactMatrix.diagonal([1, -1]))
+    code, _ = _run_main(capsys, ["witness", "--ctx", SL2_CTX, "--matrix", good, "--out", out])
+    assert code == 0
+    refused = _matrix_file(tmp_path, "h2.json", ExactMatrix.diagonal([2, -2]))
+    argv = ["witness", "--ctx", SL2_CTX, "--matrix", refused, "--involution", "--out", out]
+    code, payload = _run_main(capsys, argv)
+    assert code == 1
+    with open(out, encoding="utf-8") as fh:
+        assert json.load(fh) == payload
+    code, _ = _run_main(capsys, ["verify", out])
+    assert code == 2
+    # a typed error after parsing (an unreadable matrix) is written too
+    code, payload = _run_main(
+        capsys, ["decide", "--ctx", SL2_CTX, "--matrix", "/nonexistent.json", "--out", out]
+    )
+    assert code == 2
+    with open(out, encoding="utf-8") as fh:
+        assert json.load(fh) == payload == {"error": "ParseError", "message": payload["message"]}
+
+
+def test_unwritable_out_is_a_json_parse_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "c.json")
+    mfile = _matrix_file(tmp_path, "h.json", ExactMatrix.diagonal([1, -1]))
+    for matrix in (mfile, "/nonexistent.json"):
+        code, payload = _run_main(
+            capsys, ["decide", "--ctx", SL2_CTX, "--matrix", matrix, "--out", out]
+        )
+        assert code == 2
+        assert payload["error"] == "ParseError"
+        assert "cannot write" in payload["message"]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    from adjreal import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    for _ in range(3):
+        _run_main(capsys, ["decide", "--ctx", SL2_CTX, "--matrix", "/nonexistent.json"])
+    assert built == []
+
+
 def test_parse_error_exit_two(capsys):
     code, payload = _run_main(
         capsys, ["decide", "--ctx", SL2_CTX, "--matrix", "/nonexistent.json"]

@@ -1,9 +1,10 @@
 """Exact linear algebra: solving, invariant factors, similarity."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adjreal.errors import InconsistentSystem, SingularMatrix
-from adjreal.gaussian import I, ONE, ZERO, gr
+from adjreal.errors import InconsistentSystem, SingularMatrix, SizeMismatch
+from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr, rational
 from adjreal.matrix import (
     ExactMatrix,
     PolyMatrix,
@@ -241,6 +242,125 @@ def test_det_is_multiplicative(rng):
         a = _random_matrix(rng, n)
         b = _random_matrix(rng, n)
         assert det(a * b) == det(a) * det(b)
+
+
+# Gaussian-integer kernel: products and determinants must equal the plain
+# GaussRat sums and elimination they replace, on every shape 0..8 and on
+# entries with mixed, large, imaginary and zero parts.
+
+_NUMERATORS = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12]), st.integers(1, 2**70)
+)
+
+
+@st.composite
+def _kernel_scalars(draw):
+    def part():
+        return rational(draw(_NUMERATORS), draw(_DENOMINATORS))
+
+    kind = draw(st.sampled_from(["zero", "real", "imaginary", "complex"]))
+    if kind == "zero":
+        return ZERO
+    return GaussRat(
+        part() if kind != "imaginary" else rational(0),
+        part() if kind != "real" else rational(0),
+    )
+
+
+@st.composite
+def _kernel_matrices(draw, rows, cols):
+    """rows x cols, with some zero rows and columns, and some rows made
+    multiples of others so that square ones are often singular."""
+    grid = [[draw(_kernel_scalars()) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols:
+        for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+            grid[i] = [ZERO] * cols
+        for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+            for row in grid:
+                row[j] = ZERO
+        for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+            src, f = draw(st.integers(0, rows - 1)), draw(_kernel_scalars())
+            grid[i] = [f * e for e in grid[src]]
+    return ExactMatrix(rows, cols, [e for row in grid for e in row])
+
+
+_SHAPE = st.integers(0, 8)
+
+
+def _naive_product(a, b):
+    flat = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = ZERO
+            for t in range(a.cols):
+                s = s + a[i, t] * b[t, j]
+            flat.append(s)
+    return ExactMatrix(a.rows, b.cols, flat)
+
+
+def _reference_det(a):
+    """Elimination over GaussRat with first-nonzero pivoting: the
+    determinant the Bareiss kernel must match."""
+    n = a.rows
+    rows = [a.row_list(i) for i in range(n)]
+    out = ONE
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            out = -out
+        pv = rows[c][c]
+        out = out * pv
+        inv = pv.inverse()
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            if not f.is_zero():
+                f = f * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), _SHAPE, _SHAPE, _SHAPE)
+def test_product_matches_naive_gaussrat_sums(data, n, k, m):
+    a = data.draw(_kernel_matrices(n, k))
+    b = data.draw(_kernel_matrices(k, m))
+    assert a * b == _naive_product(a, b)
+    vec = list(data.draw(_kernel_matrices(k, 1)).entries)
+    assert a.mul_vector(vec) == list(_naive_product(a, ExactMatrix(k, 1, vec)).entries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), _SHAPE)
+def test_det_matches_reference_elimination(data, n):
+    a = data.draw(_kernel_matrices(n, n))
+    assert det(a) == _reference_det(a)
+
+
+def test_det_row_swaps_and_imaginary_pivots():
+    # a zero leading entry forces a swap; imaginary pivots make the
+    # Bareiss divisions non-real
+    a = ExactMatrix.from_rows([
+        [ZERO, I, gr("1/2")],
+        [gr(0, 2), ONE, gr(3, -1)],
+        [gr("1/3"), gr(0, -5), I],
+    ])
+    assert det(a) == _reference_det(a)
+    assert det(ExactMatrix.zeros(0)) == ONE
+    assert det(ExactMatrix.from_rows([[ZERO, ONE], [ONE, ZERO]])) == gr(-1)
+
+
+def test_kernel_shape_errors():
+    a, b = ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 3)
+    with pytest.raises(SizeMismatch):
+        a * b
+    with pytest.raises(SizeMismatch):
+        a.mul_vector([ONE, ONE])
+    with pytest.raises(SizeMismatch):
+        det(a)
 
 
 def test_invariant_factor_chain_and_product(rng):

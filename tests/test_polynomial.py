@@ -7,6 +7,7 @@ from adjreal.gaussian import GaussRat, I, ONE, ZERO, gr, rational
 from adjreal.polynomial import (
     _UNITS,
     ExactPoly,
+    Gint,
     _to_gaussian_integer_poly,
     gaussian_divisors,
     linear_roots,
@@ -210,6 +211,15 @@ def test_bounded_root_search_matches_full_divisor_search_random(roots, cofactor,
         [GaussRat(rational(a, d), rational(b, d)) for a, b, d in roots]
     ) * cofactor.scale(lead)
     assert linear_roots(p) == _full_divisor_linear_roots(p)
+
+
+@given(st.integers(-400, 400), st.integers(-400, 400), st.integers(1, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_pruned_divisors_are_the_full_list_filtered_by_norm(a, b, m):
+    z = Gint(a, b) if a or b else Gint(1, 0)
+    full = gaussian_divisors(z)
+    assert gaussian_divisors(z, m) == [d for d in full if d.norm() <= m]
+    assert gaussian_divisors(z, z.norm()) == full
 
 
 def test_poly_json_round_trip():

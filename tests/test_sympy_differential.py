@@ -6,20 +6,32 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from sympy import QQ, QQ_I  # noqa: E402
+from sympy import QQ, QQ_I, Symbol  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.matrices.normalforms import (  # noqa: E402
+    invariant_factors as sympy_invariant_factors,
+)
 
-from adjreal.gaussian import GaussRat, gr, rational  # noqa: E402
+from adjreal.gaussian import ONE, ZERO, GaussRat, gr, rational  # noqa: E402
+from adjreal.liecore import LieContext, algebra_member  # noqa: E402
 from adjreal.matrix import (  # noqa: E402
     ExactMatrix,
     char_poly,
+    det,
     eval_poly,
     hessenberg,
+    invariant_factors,
     is_semisimple,
     kernel,
     rank,
 )
 from adjreal.polynomial import ExactPoly, squarefree_part  # noqa: E402
+from adjreal.symplectic import (  # noqa: E402
+    chain_decomposition,
+    nilpotent_from_partition,
+    sl2_triple,
+    symplectic_partitions,
+)
 
 # zero, real, purely imaginary and mixed entries of low height
 ENTRIES = [
@@ -143,3 +155,80 @@ def test_block_start_semisimplicity_and_hessenberg_form(m):
     assert all(h[i, j].is_zero() for i in range(h.rows) for j in range(i - 1))
     expected = [_from_qqi(c) for c in reversed(_domain_matrix(m).charpoly())]
     assert list(char_poly(h).coeffs) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_det_matches_sympy(m):
+    assert det(m) == _from_qqi(_domain_matrix(m).det())
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_matrices())
+def test_invariant_factors_match_sympy(m):
+    """The invariant factors of tI - X, against sympy's Smith form over
+    QQ_I[t]; split matrices give nontrivial ones."""
+    ring = QQ_I[Symbol("t")]
+    t = ring.gens[0]
+    char = [
+        [(t if i == j else ring.zero) - ring.convert(_to_qqi(m[i, j]))
+         for j in range(m.cols)]
+        for i in range(m.rows)
+    ]
+    theirs = sympy_invariant_factors(DomainMatrix(char, (m.rows, m.rows), ring))
+    expected = [
+        ExactPoly([_from_qqi(c) for c in reversed(f.monic().to_dense())])
+        for f in theirs
+    ]
+    assert invariant_factors(m) == expected
+
+
+def _symplectic_transvection(n, v, c):
+    """I + c v (v^T J) for the standard form J, which preserves J."""
+    vj = [v[k + n] if k < n else -v[k - n] for k in range(2 * n)]
+    return ExactMatrix.from_rows(
+        [[(ONE if i == j else ZERO) + c * v[i] * vj[j] for j in range(2 * n)]
+         for i in range(2 * n)]
+    )
+
+
+@st.composite
+def conjugated_nilpotents(draw):
+    """(partition, X): nilpotent_from_partition conjugated by one or two
+    symplectic transvections, so X stays in sp(n) but is not in model
+    form.  Partitions of 2n <= 6 with a part above 1 (X = 0 has no
+    sl2-triple)."""
+    parts = draw(st.sampled_from([
+        p for total in (2, 4, 6) for p in symplectic_partitions(total)
+        if p[0] > 1
+    ]))
+    x = nilpotent_from_partition(parts)
+    n = x.rows // 2
+    for _ in range(draw(st.integers(1, 2))):
+        v = [draw(st.sampled_from(ENTRIES)) for _ in range(2 * n)]
+        x = (_symplectic_transvection(n, v, ONE) * x
+             * _symplectic_transvection(n, v, -ONE))
+    return parts, x
+
+
+@settings(max_examples=25, deadline=None)
+@given(conjugated_nilpotents())
+def test_chain_partition_matches_sympy_jordan_blocks(case):
+    """The chain lengths are the Jordan block sizes, which sympy's ranks
+    of X^k give: rank X^(k-1) - rank X^k blocks have size at least k."""
+    parts, x = case
+    assert algebra_member(x, LieContext("sp", "Sp", x.rows // 2))
+    dm = _domain_matrix(x)
+    ranks = [x.rows]
+    power = DomainMatrix.eye(x.rows, QQ_I)
+    while ranks[-1]:
+        power = power * dm
+        ranks.append(power.rank())
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    blocks = []
+    for k, count in enumerate(at_least, start=1):
+        following = at_least[k] if k < len(at_least) else 0
+        blocks.extend([k] * (count - following))
+    assert sorted(blocks, reverse=True) == list(parts)
+    chains = chain_decomposition(sl2_triple(x)).partition()
+    assert sorted(chains, reverse=True) == sorted(blocks, reverse=True)

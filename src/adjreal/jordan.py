@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SizeMismatch
+from .errors import SelfCheckFailed, SizeMismatch
 from .matrix import ExactMatrix, char_poly, eval_poly
 from .polynomial import ExactPoly, poly_xgcd, squarefree_part
 
@@ -38,7 +38,7 @@ class JordanPair:
 def _mod_inverse(p: ExactPoly, modulus: ExactPoly) -> ExactPoly:
     g, u, _ = poly_xgcd(p, modulus)
     if g.degree() != 0:
-        raise ArithmeticError("non-invertible element in quotient ring")
+        raise SelfCheckFailed("non-invertible element in quotient ring")
     return (u.scale(g.leading().inverse())) % modulus
 
 
@@ -52,13 +52,14 @@ def jordan_chevalley(x: ExactMatrix) -> JordanPair:
     dq = q.derivative()
     max_steps = max(1, math.ceil(math.log2(max(2, x.rows))))
     steps = 0
-    while not _compose_mod(q, a, chi).is_zero():
-        if steps > max_steps:  # pragma: no cover - would contradict theory
-            raise ArithmeticError("Newton iteration failed to converge")
-        qa = _compose_mod(q, a, chi)
+    qa = _compose_mod(q, a, chi)
+    while not qa.is_zero():
+        if steps > max_steps:  # would contradict theory
+            raise SelfCheckFailed("Newton iteration failed to converge")
         dqa = _compose_mod(dq, a, chi)
         a = (a - qa * _mod_inverse(dqa, chi)) % chi
         steps += 1
+        qa = _compose_mod(q, a, chi)
     xs = eval_poly(a, x)
     return JordanPair(xs, x - xs, a)
 

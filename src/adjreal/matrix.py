@@ -3,14 +3,15 @@
 Everything here is deterministic.  Solutions, kernel bases, ranks and
 inverses are read off the reduced row echelon form, which is unique; one
 Gauss-Jordan elimination on sparse rows computes it for dense matrices
-and for the mostly-zero systems of ``solve_sparse`` alike.  Products,
-matrix-vector products and determinants run over Gaussian integers: rows
-(and, for a product's right factor, columns) are cleared of their
-denominators, the sums are taken in Python ints, and the result is
-divided back once per entry, so the values are the same exact ones.  The
-Smith-form reduction picks the minimal-degree nonzero entry with ties
-broken in row-major order, so repeated runs produce identical invariant
-factors.
+and for the mostly-zero systems of ``solve_sparse`` alike, and its
+reduce step, taken a row at a time, builds the Krylov echelons of
+``oracle``.  Products, matrix-vector products and determinants run over
+Gaussian integers: rows (and, for a product's right factor, columns) are
+cleared of their denominators, the sums are taken in Python ints, and
+the result is divided back once per entry, so the values are the same
+exact ones.  The Smith-form reduction picks the minimal-degree nonzero
+entry with ties broken in row-major order, so repeated runs produce
+identical invariant factors.
 
 JSON wire format for matrices:
     {"rows": n, "cols": m, "entries": [["a/b+c/d*i", ...], ...]}
@@ -327,19 +328,32 @@ def _rref(rows):
     """
     pivots: dict = {}
     for row in sorted(rows, key=len):
-        for c in [c for c in row if c in pivots]:
-            _eliminate(row, c, pivots[c])
-        if not row:
-            continue
-        p = min(row)
-        inv = row.pop(p).inverse()
-        row = {k: v * inv for k, v in row.items()}
-        for prow in pivots.values():
-            if p in prow:
-                _eliminate(prow, p, row)
-        row[p] = ONE
-        pivots[p] = row
+        _reduce(row, pivots)
+        if row:
+            _add_pivot(pivots, row)
     return pivots
+
+
+def _reduce(row: dict, pivots: dict):
+    """row minus its multiples of the pivot rows, in place: afterwards row
+    has no entry in a pivot column.  Pivot rows have none in each other's
+    pivot columns, so one elimination per pivot column of row suffices."""
+    for c in [c for c in row if c in pivots]:
+        _eliminate(row, c, pivots[c])
+
+
+def _add_pivot(pivots: dict, row: dict):
+    """Make a nonzero row, already reduced against pivots, a pivot row:
+    its first nonzero column becomes the pivot, scaled to 1 and cleared
+    from the earlier pivot rows."""
+    p = min(row)
+    inv = row.pop(p).inverse()
+    row = {k: v * inv for k, v in row.items()}
+    for prow in pivots.values():
+        if p in prow:
+            _eliminate(prow, p, row)
+    row[p] = ONE
+    pivots[p] = row
 
 
 def _eliminate(row: dict, c: int, prow: dict):
@@ -657,34 +671,42 @@ def smith_invariant_factors(pm: PolyMatrix):
                 row[top], row[bj] = row[bj], row[top]
         pivot = m[top][top]
         dirty = False
+        # rows and columns before top are zero from index top on, so the
+        # updates touch only the trailing block
+        top_row = m[top]
         for i in range(top + 1, nr):
-            if m[i][top].is_zero():
+            row = m[i]
+            if row[top].is_zero():
                 continue
-            q, r = divmod(m[i][top], pivot)
-            m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+            q, r = divmod(row[top], pivot)
+            for j in range(top, nc):
+                if not top_row[j].is_zero():
+                    row[j] = row[j] - q * top_row[j]
             if not r.is_zero():
                 dirty = True
         for j in range(top + 1, nc):
-            if m[top][j].is_zero():
+            if top_row[j].is_zero():
                 continue
-            q, r = divmod(m[top][j], pivot)
-            for i in range(nr):
-                m[i][j] = m[i][j] - q * m[i][top]
+            q, r = divmod(top_row[j], pivot)
+            for i in range(top, nr):
+                if not m[i][top].is_zero():
+                    m[i][j] = m[i][j] - q * m[i][top]
             if not r.is_zero():
                 dirty = True
         if dirty:
             continue
         # row/column are clear; make the pivot divide the rest of the block
+        # (a nonzero constant divides everything)
         offender = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if not (m[i][j] % pivot).is_zero():
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        if pivot.degree() > 0:
+            offender = next(
+                (i for i in range(top + 1, nr)
+                 if any(not (m[i][j] % pivot).is_zero() for j in range(top + 1, nc))),
+                None,
+            )
         if offender is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[offender])]
+            for j in range(top, nc):
+                top_row[j] = top_row[j] + m[offender][j]
             continue
         factors.append(pivot.monic())
         top += 1

@@ -4,7 +4,9 @@ bounded-height reverser search, and closed-form symbolic obstructions.
 The canonical-form code deliberately avoids the Smith-form machinery: it
 computes invariant factors by the cyclic decomposition (maximal-order
 vector, then recursion on the quotient), giving a second, unrelated route
-to the similarity decision.
+to the similarity decision.  Local minimal polynomials, the completed
+basis and the quotient action are read off one incremental echelon of
+Krylov vectors.
 
 Search outcomes are evidence, never proofs of absence: "exhausted" only
 says no reverser exists whose coefficients come from the height pool.
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from .certificates import ReverserCertificate, verify_certificate
 from .errors import (
     AlgebraMismatch,
-    InconsistentSystem,
     SearchSpaceTooLarge,
     SelfCheckFailed,
     SpectrumNotSplit,
@@ -27,14 +28,14 @@ from .gaussian import GaussRat, ONE, ZERO, rational
 from .liecore import LieContext, algebra_member, group_member, reverser_linear_space
 from .matrix import (
     ExactMatrix,
+    _add_pivot,
+    _reduce,
     char_poly,
     det,
     eigenspaces,
     hessenberg,
     inverse,
     is_semisimple,
-    rank,
-    solve_linear,
 )
 from .polynomial import ExactPoly, poly_gcd, poly_lcm
 
@@ -57,17 +58,30 @@ def _poly_on_vector(p: ExactPoly, a: ExactMatrix, v):
     return out
 
 
+def _krylov_echelon(a: ExactMatrix, v):
+    """(pivots, p): the reduced echelon of v, Av, ..., A^(k-1) v and the
+    minimal monic p of degree k with p(A) v = 0.
+
+    Rows are {column: value} maps; column n + i carries a row's
+    coefficient of A^i v.  Each A^i v is reduced once against the pivots
+    found so far; the first one with nothing left in columns < n is a
+    dependence, and its coefficients are p."""
+    n = a.rows
+    pivots: dict = {}
+    w = list(v)
+    for k in itertools.count():
+        row = {j: x for j, x in enumerate(w) if not x.is_zero()}
+        row[n + k] = ONE
+        _reduce(row, pivots)
+        if min(row) >= n:
+            return pivots, ExactPoly([row.get(n + i, ZERO) for i in range(k + 1)])
+        _add_pivot(pivots, row)
+        w = a.mul_vector(w)
+
+
 def _local_min_poly(a: ExactMatrix, v):
     """Minimal monic p with p(a) v = 0 (first Krylov dependence)."""
-    vecs = [list(v)]
-    while True:
-        nxt = a.mul_vector(vecs[-1])
-        try:
-            coeffs, _ = solve_linear(ExactMatrix.from_columns(vecs), nxt)
-        except InconsistentSystem:
-            vecs.append(nxt)
-            continue
-        return ExactPoly(list(map(lambda c: -c, coeffs)) + [ONE])
+    return _krylov_echelon(a, v)[1]
 
 
 def _coprime_split(a: ExactPoly, b: ExactPoly):
@@ -90,10 +104,13 @@ def _max_order_vector(a: ExactMatrix):
     v = _unit_vector(n, 0)
     p = _local_min_poly(a, v)
     for k in range(1, n):
+        if p.degree() == n:
+            break
         w = _unit_vector(n, k)
-        q = _local_min_poly(a, w)
-        if poly_lcm(p, q) == p:
+        # p(A) e_k = 0 exactly when the local polynomial of e_k divides p
+        if all(x.is_zero() for x in _poly_on_vector(p, a, w)):
             continue
+        q = _local_min_poly(a, w)
         f, g = _coprime_split(p, q)
         v1 = _poly_on_vector(p // f, a, v)
         v2 = _poly_on_vector(q // g, a, w)
@@ -110,23 +127,29 @@ def _invariant_chain(a: ExactMatrix):
         return []
     v, m = _max_order_vector(a)
     k = m.degree()
-    cols = [list(v)]
-    for _ in range(k - 1):
-        cols.append(a.mul_vector(cols[-1]))
-    for idx in range(n):
-        if len(cols) == n:
-            break
-        cand = _unit_vector(n, idx)
-        if rank(ExactMatrix.from_columns(cols + [cand])) > len(cols):
-            cols.append(cand)
-    p = ExactMatrix.from_columns(cols)
-    abar = inverse(p) * a * p
     if k == n:
         return [m]
-    quotient = ExactMatrix.from_rows(
-        [[abar[i, j] for j in range(k, n)] for i in range(k, n)]
-    )
-    rest = _invariant_chain(quotient)
+    # Complete the Krylov basis v, ..., A^(k-1) v with unit vectors; column
+    # n + i of a row carries its coefficient of basis vector i.
+    pivots, p = _krylov_echelon(a, v)
+    if p != m:
+        raise SelfCheckFailed("maximal-order vector has the wrong local polynomial")
+    chosen = []
+    for idx in range(n):
+        if k + len(chosen) == n:
+            break
+        row = {idx: ONE, n + k + len(chosen): ONE}
+        _reduce(row, pivots)
+        if min(row) < n:
+            _add_pivot(pivots, row)
+            chosen.append(idx)
+    # A e_idx reduces to zero; minus the combination left is its coordinates
+    quotient = []
+    for idx in chosen:
+        row = {i: x for i, x in enumerate(a.column(idx)) if not x.is_zero()}
+        _reduce(row, pivots)
+        quotient.append([-row.get(n + i, ZERO) for i in range(k, n)])
+    rest = _invariant_chain(ExactMatrix.from_columns(quotient))
     if rest and not (m % rest[0]).is_zero():
         raise SelfCheckFailed("cyclic chain broke")
     return [m] + rest

@@ -1,7 +1,12 @@
 """Jordan-Chevalley decomposition: exactness, uniqueness, closure."""
 
+import json
 import random
 
+import pytest
+
+from adjreal import jordan
+from adjreal.cli import main
 from adjreal.gaussian import I, ONE, ZERO
 from adjreal.jordan import jordan_chevalley
 from adjreal.liecore import LieContext, algebra_member
@@ -12,6 +17,7 @@ from adjreal.matrix import (
     is_semisimple,
 )
 from adjreal.oracle import height_pool
+from adjreal.polynomial import ExactPoly
 from adjreal.symplectic import mixed_from_partition, symplectic_partitions
 
 
@@ -136,3 +142,23 @@ def test_newton_converges_on_high_multiplicity():
     pair = jordan_chevalley(x)
     _check_invariants(x, pair)
     assert pair.semisimple_part == ExactMatrix.identity(n)
+
+
+@pytest.mark.parametrize(
+    "target, replacement",
+    [
+        # a gcd of degree one: q'(a) looks non-invertible modulo chi
+        ("poly_xgcd", lambda p, m: (ExactPoly.x_power(1), ExactPoly.one(), ExactPoly.one())),
+        # a zero Newton correction: the iteration never converges
+        ("_mod_inverse", lambda p, m: ExactPoly.zero()),
+    ],
+    ids=["non-unit-gcd", "no-convergence"],
+)
+def test_jordan_self_check_failures_are_json_errors(monkeypatch, capsys, target, replacement):
+    """A failed self-check in the Newton iteration ends in JSON and exit 2,
+    not in a traceback."""
+    monkeypatch.setattr(jordan, target, replacement)
+    code = main(["jordan", "--matrix", '{"rows":2,"cols":2,"entries":[["1","1"],["0","1"]]}'])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "SelfCheckFailed"

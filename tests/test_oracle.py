@@ -3,20 +3,25 @@
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from adjreal.certificates import verify_certificate
-from adjreal.errors import SearchSpaceTooLarge
-from adjreal.gaussian import GaussRat, I, ONE, gr
+from adjreal.errors import InconsistentSystem, SearchSpaceTooLarge
+from adjreal.gaussian import GaussRat, I, ONE, ZERO, gr
 from adjreal.liecore import LieContext, so_block
 from adjreal.matrix import (
     ExactMatrix,
+    char_poly,
     det,
+    eigenspaces,
     invariant_factors,
     inverse,
+    solve_linear,
 )
 from adjreal.oracle import (
     BiPoly,
     _coprime_split,
+    _local_min_poly,
     _sym_mul_2x2,
     enumerate_involutive_reversers,
     height_pool,
@@ -29,7 +34,8 @@ from adjreal.oracle import (
 )
 from adjreal.polynomial import ExactPoly, poly_gcd, poly_lcm
 
-from conftest import SMALL_SCALARS
+from conftest import SMALL_SCALARS, conjugated_jordan_matrices
+from test_semisimple import _dense_sl
 
 
 def test_rcf_similar_diagonal_permutation():
@@ -58,6 +64,66 @@ def test_rcf_agrees_with_smith_factors(rng):
         n = rng.randrange(2, 6)
         a = ExactMatrix(n, n, [rng.choice(SMALL_SCALARS) for _ in range(n * n)])
         assert rcf_invariant_factors(a) == invariant_factors(a)
+
+
+def _reference_local_min_poly(a, v):
+    """The earlier local minimal polynomial: one full solve of the Krylov
+    system per step.  For v = 0 it returns t, which is not minimal."""
+    vecs = [list(v)]
+    while True:
+        nxt = a.mul_vector(vecs[-1])
+        try:
+            coeffs, _ = solve_linear(ExactMatrix.from_columns(vecs), nxt)
+        except InconsistentSystem:
+            vecs.append(nxt)
+            continue
+        return ExactPoly([-c for c in coeffs] + [ONE])
+
+
+def _apply_poly(p, a, v):
+    """p(a) v by Horner."""
+    out = [ZERO] * len(v)
+    for c in reversed(p.coeffs):
+        out = [x + c * y for x, y in zip(a.mul_vector(out), v)]
+    return out
+
+
+def test_local_min_poly_matches_reference(rng):
+    """On nonzero random vectors and on eigenvectors (local polynomial
+    t - lambda); v = 0, where the reference is wrong, is tested below."""
+    x = ExactMatrix.diagonal([gr(2), gr(2), -I, gr(0)])
+    cases = [(x, v) for _, basis in eigenspaces(x, char_poly(x)) for v in basis]
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        # a shared eigenvalue and a Jordan block make many vectors non-cyclic
+        a = ExactMatrix.block_diagonal([
+            ExactMatrix.from_rows([[ONE, ONE], [ZERO, ONE]]),
+            ExactMatrix.diagonal([ONE] + [rng.choice(SMALL_SCALARS) for _ in range(n - 1)]),
+        ])
+        cases.append((a, [rng.choice(SMALL_SCALARS) for _ in range(n + 2)]))
+        cases.extend((a, v) for _, basis in eigenspaces(a, char_poly(a)) for v in basis)
+    for a, v in cases:
+        if all(e.is_zero() for e in v):
+            continue
+        p = _local_min_poly(a, v)
+        assert p == _reference_local_min_poly(a, v)
+        assert all(e.is_zero() for e in _apply_poly(p, a, v))
+
+
+def test_local_min_poly_of_zero_vector_is_one():
+    a = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    assert _local_min_poly(a, [ZERO, ZERO]) == ExactPoly.one()
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugated_jordan_matrices())
+def test_rcf_agrees_with_smith_on_derogatory_matrices(x):
+    assert rcf_invariant_factors(x) == invariant_factors(x)
+
+
+def test_rcf_dense_sl16_is_cyclic():
+    x = _dense_sl(16)
+    assert rcf_invariant_factors(x) == [ExactPoly.one()] * 15 + [char_poly(x)]
 
 
 def test_coprime_split():

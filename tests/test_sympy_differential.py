@@ -25,6 +25,7 @@ from adjreal.matrix import (  # noqa: E402
     kernel,
     rank,
 )
+from adjreal.oracle import rcf_invariant_factors  # noqa: E402
 from adjreal.polynomial import ExactPoly, squarefree_part  # noqa: E402
 from adjreal.symplectic import (  # noqa: E402
     chain_decomposition,
@@ -32,6 +33,7 @@ from adjreal.symplectic import (  # noqa: E402
     sl2_triple,
     symplectic_partitions,
 )
+from conftest import conjugated_jordan_matrices  # noqa: E402
 
 # zero, real, purely imaginary and mixed entries of low height
 ENTRIES = [
@@ -168,6 +170,19 @@ def test_det_matches_sympy(m):
 def test_invariant_factors_match_sympy(m):
     """The invariant factors of tI - X, against sympy's Smith form over
     QQ_I[t]; split matrices give nontrivial ones."""
+    assert invariant_factors(m) == _sympy_invariant_factors(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_jordan_matrices(min_size=1))
+def test_krylov_invariant_factors_match_sympy(m):
+    """The cyclic-decomposition route on derogatory matrices (shared
+    eigenvalues, scalar and zero matrices, imaginary entries)."""
+    assert rcf_invariant_factors(m) == _sympy_invariant_factors(m)
+
+
+def _sympy_invariant_factors(m: ExactMatrix):
+    """sympy's invariant factors of tI - X over QQ_I[t], monic."""
     ring = QQ_I[Symbol("t")]
     t = ring.gens[0]
     char = [
@@ -176,11 +191,10 @@ def test_invariant_factors_match_sympy(m):
         for i in range(m.rows)
     ]
     theirs = sympy_invariant_factors(DomainMatrix(char, (m.rows, m.rows), ring))
-    expected = [
+    return [
         ExactPoly([_from_qqi(c) for c in reversed(f.monic().to_dense())])
         for f in theirs
     ]
-    assert invariant_factors(m) == expected
 
 
 def _symplectic_transvection(n, v, c):

@@ -1,17 +1,21 @@
 """Exact linear algebra over Q(i) and over Q(i)[x].
 
 Everything here is deterministic.  Solutions, kernel bases, ranks and
-inverses are read off the reduced row echelon form, which is unique; one
-Gauss-Jordan elimination on sparse rows computes it for dense matrices
-and for the mostly-zero systems of ``solve_sparse`` alike, and its
-reduce step, taken a row at a time, builds the Krylov echelons of
-``oracle``.  Products, matrix-vector products and determinants run over
-Gaussian integers: rows (and, for a product's right factor, columns) are
-cleared of their denominators, the sums are taken in Python ints, and
-the result is divided back once per entry, so the values are the same
-exact ones.  The Smith-form reduction picks the minimal-degree nonzero
-entry with ties broken in row-major order, so repeated runs produce
-identical invariant factors.
+inverses are read off the reduced row echelon form, which is unique.
+One engine computes it, for dense matrices and for the mostly-zero
+systems of ``solve_sparse`` alike, and builds the Krylov echelons of
+``oracle`` a row at a time: sparse fraction-free Gauss-Jordan
+elimination over the Gaussian integers.  Each row is cleared of its
+denominators once (for ``inverse``, each column), every pivot equals
+one common denominator, each update divides exactly in Z[i] by the
+previous one, and each entry that is read is divided back once, so the
+values are the same unique ones.  Products, matrix-vector products and
+determinants also run over Gaussian integers: rows (and, for a
+product's right factor, columns) are cleared of their denominators, the
+sums are taken in Python ints, and the result is divided back once per
+entry.  The Smith-form reduction picks the minimal-degree nonzero entry
+with ties broken in row-major order, so repeated runs produce identical
+invariant factors.
 
 JSON wire format for matrices:
     {"rows": n, "cols": m, "entries": [["a/b+c/d*i", ...], ...]}
@@ -24,6 +28,7 @@ import math
 from .errors import (
     InconsistentSystem,
     ParseError,
+    SelfCheckFailed,
     SingularMatrix,
     SizeMismatch,
     SpectrumNotSplit,
@@ -314,92 +319,190 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows):
-    """Reduced row echelon form of rows given as {column: value} maps of
-    their nonzero entries (consumed).
+def _cleared_dict(values) -> dict:
+    """The nonzero values of a sequence times the lcm of their
+    denominators, as a {position: (re, im)} row of Gaussian integers."""
+    return {k: (re, im) for k, re, im in _cleared(values)[1]}
 
-    Returns {pivot column: row}, each row with 1 in its pivot column and
-    no entry in the other pivot columns.  Each row is reduced against
-    the pivots found so far; its first nonzero column becomes a new
-    pivot and is cleared from the earlier pivot rows.  The reduced row
-    echelon form is unique, so the result does not depend on the order
-    in which rows are taken: short rows go first, which keeps fill-in
-    low.
+
+def _cleared_row(row: dict) -> dict:
+    """A {column: GaussRat} row of nonzero values, cleared as above."""
+    cols = list(row)
+    return {cols[k]: z for k, z in _cleared_dict(list(row.values())).items()}
+
+
+def _gauss_quotient(x, y) -> GaussRat:
+    """x / y for Gaussian integers x and y != 0, given as (re, im) pairs:
+    x * conj(y) / N(y)."""
+    (xr, xi), (yr, yi) = x, y
+    if not yi:
+        return GaussRat(rational(xr, yr), rational(xi, yr))
+    norm = yr * yr + yi * yi
+    return GaussRat(
+        rational(xr * yr + xi * yi, norm), rational(xi * yr - xr * yi, norm)
+    )
+
+
+def _exact_divider(d):
+    """z -> z / d for Gaussian integers z that d divides, as a function of
+    (re, im); SelfCheckFailed when the quotient is not a Gaussian integer."""
+    dr, di = d
+    if (dr, di) == (1, 0):
+        return lambda zr, zi: (zr, zi)
+
+    def exact(qr, rr, qi, ri):
+        if rr or ri:
+            raise SelfCheckFailed("inexact Gaussian-integer division in elimination")
+        return qr, qi
+
+    if not di:
+        return lambda zr, zi: exact(*divmod(zr, dr), *divmod(zi, dr))
+    norm = dr * dr + di * di
+    # z * conj(d) / N(d)
+    return lambda zr, zi: exact(
+        *divmod(zr * dr + zi * di, norm), *divmod(zi * dr - zr * di, norm)
+    )
+
+
+class _Echelon:
+    """Reduced row echelon form over Z[i], built a row at a time by
+    fraction-free Gauss-Jordan elimination (FFGJ, as in sympy's
+    ``sdm_rref_den``).
+
+    ``pivots`` maps each pivot column to its row, a {column: (re, im)} map
+    of the nonzero Gaussian-integer entries outside the pivot columns.
+    Every pivot entry equals the common denominator ``den`` and is not
+    stored, so the reduced row echelon form over Q(i) is each row divided
+    by ``den`` (``value``).  The entries are minors of the rows added, so
+    each update divides exactly, in Z[i], by the previous denominator.
     """
-    pivots: dict = {}
+
+    __slots__ = ("pivots", "den")
+
+    def __init__(self):
+        self.pivots: dict = {}
+        self.den = (1, 0)
+
+    def value(self, z) -> GaussRat:
+        """The Q(i) entry of the reduced form for a stored entry z."""
+        return _gauss_quotient(z, self.den)
+
+    def reduce(self, row: dict) -> dict:
+        """den * row minus its multiples of the pivot rows, as a new
+        {column: (re, im)} row with no entry in a pivot column: over Q(i),
+        den times row reduced against the pivots."""
+        pivots = self.pivots
+        dr, di = self.den
+        scaled = dr != 1 or di
+        out, cancel = {}, {}
+        for c, (fr, fi) in row.items():
+            prow = pivots.get(c)
+            if prow is None:
+                out[c] = (fr * dr - fi * di, fr * di + fi * dr) if scaled else (fr, fi)
+                continue
+            for k, (pr, pi) in prow.items():
+                xr, xi = fr * pr - fi * pi, fr * pi + fi * pr
+                if k in cancel:
+                    yr, yi = cancel[k]
+                    cancel[k] = (yr + xr, yi + xi)
+                else:
+                    cancel[k] = (xr, xi)
+        for k, (xr, xi) in cancel.items():
+            if k in out:
+                yr, yi = out[k]
+                xr, xi = yr - xr, yi - xi
+                if xr or xi:
+                    out[k] = (xr, xi)
+                else:
+                    del out[k]
+            elif xr or xi:
+                out[k] = (-xr, -xi)
+        return out
+
+    def add(self, row: dict):
+        """Make a nonzero row returned by ``reduce`` a pivot row: its first
+        column becomes the pivot and is cleared from the other pivot rows,
+        and its entry there becomes the common denominator."""
+        p = min(row)
+        ar, ai = a = row.pop(p)
+        divide = _exact_divider(self.den)
+        same_den = a == self.den
+        for c, prow in self.pivots.items():
+            if not prow:
+                continue
+            f = prow.pop(p, None)
+            if f is None:
+                if not same_den:
+                    # rescale to the new denominator: a * entry / den
+                    for k, (xr, xi) in prow.items():
+                        prow[k] = divide(ar * xr - ai * xi, ar * xi + ai * xr)
+                continue
+            fr, fi = f
+            # (a * prow[k] - f * row[k]) / den
+            new = {}
+            for k, (xr, xi) in prow.items():
+                zr, zi = ar * xr - ai * xi, ar * xi + ai * xr
+                if k in row:
+                    yr, yi = row[k]
+                    zr, zi = zr - (fr * yr - fi * yi), zi - (fr * yi + fi * yr)
+                    if not (zr or zi):
+                        continue
+                new[k] = divide(zr, zi)
+            for k, (yr, yi) in row.items():
+                if k not in prow:
+                    new[k] = divide(fi * yi - fr * yr, -(fr * yi + fi * yr))
+            self.pivots[c] = new
+        self.den = a
+        self.pivots[p] = row
+
+
+def _rref(rows) -> _Echelon:
+    """Reduced row echelon form of rows given as {column: (re, im)} maps
+    of their nonzero Gaussian-integer entries.
+
+    Each row is reduced against the pivots found so far; its first
+    nonzero column becomes a new pivot and is cleared from the earlier
+    pivot rows.  The reduced row echelon form is unique, so the result
+    does not depend on the order in which rows are taken, nor on the
+    scale of each row: short rows go first, which keeps fill-in low.
+    """
+    echelon = _Echelon()
     for row in sorted(rows, key=len):
-        _reduce(row, pivots)
+        row = echelon.reduce(row)
         if row:
-            _add_pivot(pivots, row)
-    return pivots
-
-
-def _reduce(row: dict, pivots: dict):
-    """row minus its multiples of the pivot rows, in place: afterwards row
-    has no entry in a pivot column.  Pivot rows have none in each other's
-    pivot columns, so one elimination per pivot column of row suffices."""
-    for c in [c for c in row if c in pivots]:
-        _eliminate(row, c, pivots[c])
-
-
-def _add_pivot(pivots: dict, row: dict):
-    """Make a nonzero row, already reduced against pivots, a pivot row:
-    its first nonzero column becomes the pivot, scaled to 1 and cleared
-    from the earlier pivot rows."""
-    p = min(row)
-    inv = row.pop(p).inverse()
-    row = {k: v * inv for k, v in row.items()}
-    for prow in pivots.values():
-        if p in prow:
-            _eliminate(prow, p, row)
-    row[p] = ONE
-    pivots[p] = row
-
-
-def _eliminate(row: dict, c: int, prow: dict):
-    """row -= row[c] * prow in place, where prow has 1 in column c (its
-    pivot entry may be absent); drops the entries that cancel."""
-    f = row.pop(c)
-    for k, v in prow.items():
-        if k == c:
-            continue
-        new = row[k] - f * v if k in row else -(f * v)
-        if new.is_zero():
-            del row[k]
-        else:
-            row[k] = new
+            echelon.add(row)
+    return echelon
 
 
 def _sparse_rows(a: ExactMatrix):
-    """The rows of a as {column: value} maps of their nonzero entries."""
+    """The rows of a, each cleared to Gaussian integers."""
     m, es = a.cols, a.entries
-    return [
-        {j: v for j, v in enumerate(es[i * m : (i + 1) * m]) if not v.is_zero()}
-        for i in range(a.rows)
-    ]
+    return [_cleared_dict(es[i * m : (i + 1) * m]) for i in range(a.rows)]
 
 
-def _kernel_from_rref(pivots: dict, ncols: int):
+def _kernel_from_rref(echelon: _Echelon, ncols: int):
     """Null space basis of the first ncols columns, one vector per free
     column in increasing order."""
+    pivots = echelon.pivots
     basis = {f: [ZERO] * ncols for f in range(ncols) if f not in pivots}
     for f, vec in basis.items():
         vec[f] = ONE
     for p, row in pivots.items():
-        for k, v in row.items():
+        for k, (xr, xi) in row.items():
             if k in basis:
-                basis[k][p] = -v
+                basis[k][p] = echelon.value((-xr, -xi))
     return list(basis.values())
 
 
-def _particular(pivots: dict, n: int):
+def _particular(echelon: _Echelon, n: int):
     """Solution with free variables set to zero of a reduced system whose
     right-hand side is column n; InconsistentSystem if that is a pivot."""
-    if n in pivots:
+    if n in echelon.pivots:
         raise InconsistentSystem("no solution")
     solution = [ZERO] * n
-    for p, row in pivots.items():
-        solution[p] = row.get(n, ZERO)
+    for p, row in echelon.pivots.items():
+        if n in row:
+            solution[p] = echelon.value(row[n])
     return solution
 
 
@@ -413,12 +516,8 @@ def solve_linear(a: ExactMatrix, b):
     if len(b) != a.rows:
         raise SizeMismatch("right-hand side length mismatch")
     n = a.cols
-    rows = _sparse_rows(a)
-    for row, v in zip(rows, b):
-        if not v.is_zero():
-            row[n] = v
-    pivots = _rref(rows)
-    return _particular(pivots, n), _kernel_from_rref(pivots, n)
+    echelon = _rref([_cleared_dict(a.row_list(i) + [v]) for i, v in enumerate(b)])
+    return _particular(echelon, n), _kernel_from_rref(echelon, n)
 
 
 def solve_sparse(columns, rhs):
@@ -436,7 +535,7 @@ def solve_sparse(columns, rhs):
             rows.setdefault(r, {})[k] = v
     for r, v in rhs.items():
         rows.setdefault(r, {})[n] = v
-    return _particular(_rref(rows.values()), n)
+    return _particular(_rref([_cleared_row(row) for row in rows.values()]), n)
 
 
 def kernel(a: ExactMatrix):
@@ -445,7 +544,7 @@ def kernel(a: ExactMatrix):
 
 
 def rank(a: ExactMatrix) -> int:
-    return len(_rref(_sparse_rows(a)))
+    return len(_rref(_sparse_rows(a)).pivots)
 
 
 def det(a: ExactMatrix) -> GaussRat:
@@ -495,18 +594,35 @@ def det(a: ExactMatrix) -> GaussRat:
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
+    """A^-1 from the RREF of [A C | I], where C = diag(c_j) clears each
+    column j of A to Gaussian integers: A^-1 = C (A C)^-1.  Callers invert
+    matrices whose columns are vectors with one denominator each, which
+    this clearing keeps small."""
     if not a.is_square():
         raise SizeMismatch("inverse of a non-square matrix")
     n = a.rows
-    rows = _sparse_rows(a)
-    for i, row in enumerate(rows):
-        row[n + i] = ONE
-    pivots = _rref(rows)
+    rows = [{n + i: (1, 0)} for i in range(n)]
+    col_den = []
+    for j in range(n):
+        c, column = _cleared(a.entries[j::n])
+        col_den.append(c)
+        for i, re, im in column:
+            rows[i][j] = (re, im)
+    echelon = _rref(rows)
+    pivots = echelon.pivots
     if any(c not in pivots for c in range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return ExactMatrix(
-        n, n, [pivots[i].get(n + j, ZERO) for i in range(n) for j in range(n)]
-    )
+    dr, di = echelon.den
+    flat = []
+    for i in range(n):
+        row, c = pivots[i], col_den[i]
+        for j in range(n):
+            if n + j in row:
+                xr, xi = row[n + j]
+                flat.append(_gauss_quotient((c * xr, c * xi), (dr, di)))
+            else:
+                flat.append(ZERO)
+    return ExactMatrix(n, n, flat)
 
 
 def is_invertible(a: ExactMatrix) -> bool:
@@ -539,11 +655,13 @@ def hessenberg(x: ExactMatrix) -> ExactMatrix:
             for row in h:
                 row[p], row[k + 1] = row[k + 1], row[p]
         pivot_row = h[k + 1]
-        inv = pivot_row[k].inverse()
+        inv = None
         for i in range(k + 2, n):
             row = h[i]
             if row[k].is_zero():
                 continue
+            if inv is None:
+                inv = pivot_row[k].inverse()
             u = row[k] * inv
             # row i -= u * row k+1, then column k+1 += u * column i
             row[k] = ZERO

@@ -6,7 +6,11 @@ computes invariant factors by the cyclic decomposition (maximal-order
 vector, then recursion on the quotient), giving a second, unrelated route
 to the similarity decision.  Local minimal polynomials, the completed
 basis and the quotient action are read off one incremental echelon of
-Krylov vectors.
+Krylov vectors, built by ``matrix``'s fraction-free Gaussian-integer
+elimination: A is cleared to M / d once per call, the vectors A^i v are
+kept as Gaussian-integer vectors M^i V with their scale, and a row's
+coefficient of A^i v is read as its entry in column n + i divided by
+that of the vector being reduced.
 
 Search outcomes are evidence, never proofs of absence: "exhausted" only
 says no reverser exists whose coefficients come from the height pool.
@@ -28,8 +32,9 @@ from .gaussian import GaussRat, ONE, ZERO, rational
 from .liecore import LieContext, algebra_member, group_member, reverser_linear_space
 from .matrix import (
     ExactMatrix,
-    _add_pivot,
-    _reduce,
+    _Echelon,
+    _cleared,
+    _gauss_quotient,
     char_poly,
     det,
     eigenspaces,
@@ -49,39 +54,101 @@ def _unit_vector(n: int, k: int):
     return [ONE if i == k else ZERO for i in range(n)]
 
 
-def _poly_on_vector(p: ExactPoly, a: ExactMatrix, v):
-    out = [ZERO] * len(v)
-    for c in reversed(p.coeffs):
-        out = a.mul_vector(out)
-        if not c.is_zero():
-            out = [x + c * y for x, y in zip(out, v)]
-    return out
+def _cleared_columns(a: ExactMatrix):
+    """(d, columns): a = M / d with M over Z[i] and d the lcm of the
+    denominators of a; column j of M as a list of its nonzero entries
+    (i, re, im)."""
+    n = a.cols
+    d, entries = _cleared(a.entries)
+    columns = [[] for _ in range(n)]
+    for idx, re, im in entries:
+        i, j = divmod(idx, n)
+        columns[j].append((i, re, im))
+    return d, columns
 
 
-def _krylov_echelon(a: ExactMatrix, v):
-    """(pivots, p): the reduced echelon of v, Av, ..., A^(k-1) v and the
-    minimal monic p of degree k with p(A) v = 0.
+def _apply(columns, w: dict) -> dict:
+    """M w for M given by its cleared columns and w a {row: (re, im)}
+    vector of Gaussian integers."""
+    out: dict = {}
+    for j, (wr, wi) in w.items():
+        for i, mr, mi in columns[j]:
+            xr, xi = mr * wr - mi * wi, mr * wi + mi * wr
+            if i in out:
+                yr, yi = out[i]
+                out[i] = (yr + xr, yi + xi)
+            else:
+                out[i] = (xr, xi)
+    return {i: z for i, z in out.items() if z[0] or z[1]}
 
-    Rows are {column: value} maps; column n + i carries a row's
-    coefficient of A^i v.  Each A^i v is reduced once against the pivots
-    found so far; the first one with nothing left in columns < n is a
-    dependence, and its coefficients are p."""
-    n = a.rows
-    pivots: dict = {}
-    w = list(v)
+
+def _poly_on_vector(p: ExactPoly, cleared, v):
+    """p(A) v for A = M / d, cleared = (d, columns of M).
+
+    With p = P / e and v = V / f over Z[i], p(A) v is
+    sum_i P_i d^(deg p - i) M^i V / (e f d^(deg p)); Horner's rule on the
+    Gaussian-integer vectors computes the sum."""
+    d, columns = cleared
+    e, coeffs = _cleared(p.coeffs)
+    f, vec = _cleared(v)
+    coeff = {i: (re, im) for i, re, im in coeffs}
+    out: dict = {}
+    scale = 1  # d^(deg p - i)
+    for i in range(p.degree(), -1, -1):
+        out = _apply(columns, out)
+        if i in coeff:
+            cr, ci = coeff[i]
+            cr, ci = cr * scale, ci * scale
+            for j, vr, vi in vec:
+                xr, xi = cr * vr - ci * vi, cr * vi + ci * vr
+                yr, yi = out.get(j, (0, 0))
+                if yr + xr or yi + xi:
+                    out[j] = (yr + xr, yi + xi)
+                else:
+                    out.pop(j, None)
+        scale *= d
+    den = e * f * d ** p.degree()
+    return [
+        GaussRat(rational(out[j][0], den), rational(out[j][1], den)) if j in out
+        else ZERO
+        for j in range(len(v))
+    ]
+
+
+def _krylov_echelon(cleared, v):
+    """(echelon, p) for A = M / d, cleared = (d, columns of M): the
+    fraction-free echelon of v, Av, ..., A^(k-1) v and the minimal monic p
+    of degree k with p(A) v = 0.
+
+    Rows are Gaussian-integer {column: (re, im)} maps; A^i v is kept as
+    M^i V / (f d^i) with v = V / f, and its row carries the scale f d^i
+    in column n + i, so that column holds a row's coefficient of A^i v.
+    Each A^i v is reduced once against the pivots found so far; the
+    first one with nothing left in columns < n is a dependence, and its
+    coefficients divided by that of A^i v are p."""
+    d, columns = cleared
+    n = len(columns)
+    echelon = _Echelon()
+    scale, vec = _cleared(v)
+    w = {j: (re, im) for j, re, im in vec}
     for k in itertools.count():
-        row = {j: x for j, x in enumerate(w) if not x.is_zero()}
-        row[n + k] = ONE
-        _reduce(row, pivots)
+        row = dict(w)
+        row[n + k] = (scale, 0)
+        row = echelon.reduce(row)
         if min(row) >= n:
-            return pivots, ExactPoly([row.get(n + i, ZERO) for i in range(k + 1)])
-        _add_pivot(pivots, row)
-        w = a.mul_vector(w)
+            lead = row[n + k]
+            return echelon, ExactPoly([
+                _gauss_quotient(row[n + i], lead) if n + i in row else ZERO
+                for i in range(k + 1)
+            ])
+        echelon.add(row)
+        w = _apply(columns, w)
+        scale *= d
 
 
 def _local_min_poly(a: ExactMatrix, v):
     """Minimal monic p with p(a) v = 0 (first Krylov dependence)."""
-    return _krylov_echelon(a, v)[1]
+    return _krylov_echelon(_cleared_columns(a), v)[1]
 
 
 def _coprime_split(a: ExactPoly, b: ExactPoly):
@@ -98,22 +165,23 @@ def _coprime_split(a: ExactPoly, b: ExactPoly):
     return a1, b1
 
 
-def _max_order_vector(a: ExactMatrix):
-    """Vector whose local minimal polynomial is the minimal polynomial."""
-    n = a.rows
+def _max_order_vector(cleared):
+    """Vector whose local minimal polynomial is the minimal polynomial of
+    A = M / d, cleared = (d, columns of M)."""
+    n = len(cleared[1])
     v = _unit_vector(n, 0)
-    p = _local_min_poly(a, v)
+    p = _krylov_echelon(cleared, v)[1]
     for k in range(1, n):
         if p.degree() == n:
             break
         w = _unit_vector(n, k)
         # p(A) e_k = 0 exactly when the local polynomial of e_k divides p
-        if all(x.is_zero() for x in _poly_on_vector(p, a, w)):
+        if all(x.is_zero() for x in _poly_on_vector(p, cleared, w)):
             continue
-        q = _local_min_poly(a, w)
+        q = _krylov_echelon(cleared, w)[1]
         f, g = _coprime_split(p, q)
-        v1 = _poly_on_vector(p // f, a, v)
-        v2 = _poly_on_vector(q // g, a, w)
+        v1 = _poly_on_vector(p // f, cleared, v)
+        v2 = _poly_on_vector(q // g, cleared, w)
         v = [x + y for x, y in zip(v1, v2)]
         p = (f * g).monic()
     return v, p
@@ -125,30 +193,35 @@ def _invariant_chain(a: ExactMatrix):
     n = a.rows
     if n == 0:
         return []
-    v, m = _max_order_vector(a)
+    cleared = _cleared_columns(a)
+    v, m = _max_order_vector(cleared)
     k = m.degree()
     if k == n:
         return [m]
     # Complete the Krylov basis v, ..., A^(k-1) v with unit vectors; column
     # n + i of a row carries its coefficient of basis vector i.
-    pivots, p = _krylov_echelon(a, v)
+    echelon, p = _krylov_echelon(cleared, v)
     if p != m:
         raise SelfCheckFailed("maximal-order vector has the wrong local polynomial")
     chosen = []
     for idx in range(n):
         if k + len(chosen) == n:
             break
-        row = {idx: ONE, n + k + len(chosen): ONE}
-        _reduce(row, pivots)
+        row = echelon.reduce({idx: (1, 0), n + k + len(chosen): (1, 0)})
         if min(row) < n:
-            _add_pivot(pivots, row)
+            echelon.add(row)
             chosen.append(idx)
-    # A e_idx reduces to zero; minus the combination left is its coordinates
+    # d A e_idx reduces to zero; minus the combination left, over the
+    # echelon's denominator times d, is its coordinates
+    d, columns = cleared
+    den = (echelon.den[0] * d, echelon.den[1] * d)
     quotient = []
     for idx in chosen:
-        row = {i: x for i, x in enumerate(a.column(idx)) if not x.is_zero()}
-        _reduce(row, pivots)
-        quotient.append([-row.get(n + i, ZERO) for i in range(k, n)])
+        row = echelon.reduce({i: (re, im) for i, re, im in columns[idx]})
+        quotient.append([
+            _gauss_quotient((-row[c][0], -row[c][1]), den) if c in row else ZERO
+            for c in range(n + k, 2 * n)
+        ])
     rest = _invariant_chain(ExactMatrix.from_columns(quotient))
     if rest and not (m % rest[0]).is_zero():
         raise SelfCheckFailed("cyclic chain broke")

@@ -34,6 +34,7 @@ from .matrix import (
     ExactMatrix,
     char_poly,
     det,
+    eigenspaces,
     inverse,
     is_nilpotent,
     solve_sparse,
@@ -434,20 +435,19 @@ def _form_relative_reverser(xsd: ExactMatrix, pairing, odd: bool) -> ExactMatrix
     """Involution-like swap of the +/- eigenspaces of xsd, exactly
     preserving the given bilinear form (no normalization needed: the
     second basis is solved to be dual to the first)."""
-    roots, cofactor = linear_roots(char_poly(xsd))
-    if cofactor.degree() > 0:
+    try:
+        spaces = dict(eigenspaces(xsd, char_poly(xsd)))
+    except SpectrumNotSplit:
         raise SpectrumNotSplit(
             "semisimple block has eigenvalues outside Q(i)"
-        )
-    distinct = sorted(set(roots), key=GaussRat.lex_key)
+        ) from None
     columns = []
     images = []
     eps = -ONE if odd else ONE
-    for lam in distinct:
+    for lam, us in spaces.items():
         if lam.is_zero() or lam != _pair_rep(lam):
             continue
-        us = kernel(xsd.plus_scalar(-lam))
-        ws_raw = kernel(xsd.plus_scalar(lam))
+        ws_raw = spaces.get(-lam, [])
         if len(us) != len(ws_raw):
             raise SelfCheckFailed("asymmetric eigenspaces in sp block")
         ws = _dual_basis(us, ws_raw, pairing, ONE)
@@ -457,8 +457,7 @@ def _form_relative_reverser(xsd: ExactMatrix, pairing, odd: bool) -> ExactMatrix
         for u, w in zip(us, ws):
             columns.append(w)
             images.append([eps * e for e in u])
-    zero_space = kernel(xsd)
-    for z in zero_space:
+    for z in spaces.get(ZERO, []):
         columns.append(z)
         images.append(z)
     p = ExactMatrix.from_columns(columns)

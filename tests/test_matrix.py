@@ -11,6 +11,7 @@ from adjreal.matrix import (
     char_poly,
     det,
     eval_poly,
+    hessenberg,
     invariant_factors,
     inverse,
     is_nilpotent,
@@ -269,10 +270,10 @@ def _kernel_scalars(draw):
 
 
 @st.composite
-def _kernel_matrices(draw, rows, cols):
+def _kernel_matrices(draw, rows, cols, scalars=_kernel_scalars):
     """rows x cols, with some zero rows and columns, and some rows made
     multiples of others so that square ones are often singular."""
-    grid = [[draw(_kernel_scalars()) for _ in range(cols)] for _ in range(rows)]
+    grid = [[draw(scalars()) for _ in range(cols)] for _ in range(rows)]
     if rows and cols:
         for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
             grid[i] = [ZERO] * cols
@@ -280,7 +281,7 @@ def _kernel_matrices(draw, rows, cols):
             for row in grid:
                 row[j] = ZERO
         for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
-            src, f = draw(st.integers(0, rows - 1)), draw(_kernel_scalars())
+            src, f = draw(st.integers(0, rows - 1)), draw(scalars())
             grid[i] = [f * e for e in grid[src]]
     return ExactMatrix(rows, cols, [e for row in grid for e in row])
 
@@ -351,6 +352,162 @@ def test_det_row_swaps_and_imaginary_pivots():
     assert det(a) == _reference_det(a)
     assert det(ExactMatrix.zeros(0)) == ONE
     assert det(ExactMatrix.from_rows([[ZERO, ONE], [ONE, ZERO]])) == gr(-1)
+
+
+# The fraction-free engine against the Gauss-Jordan elimination over
+# GaussRat that it replaced: the reduced row echelon form is unique, so
+# every solver must give the same exact values.
+
+
+def _reference_sparse_rref(rows):
+    """Sparse Gauss-Jordan over GaussRat on {column: value} rows
+    (consumed): {pivot column: row with 1 there and no entry in the other
+    pivot columns}."""
+    pivots = {}
+
+    def eliminate(row, c, prow):
+        f = row.pop(c)
+        for k, v in prow.items():
+            if k != c:
+                new = row.get(k, ZERO) - f * v
+                if new.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = new
+
+    for row in sorted(rows, key=len):
+        for c in [c for c in row if c in pivots]:
+            eliminate(row, c, pivots[c])
+        if not row:
+            continue
+        p = min(row)
+        inv = row.pop(p).inverse()
+        row = {k: v * inv for k, v in row.items()}
+        for prow in pivots.values():
+            if p in prow:
+                eliminate(prow, p, row)
+        row[p] = ONE
+        pivots[p] = row
+    return pivots
+
+
+def _reference_rows(a, extra=()):
+    """The rows of a as {column: value} maps, with extra[i] appended to
+    row i as further columns."""
+    out = []
+    for i in range(a.rows):
+        values = a.row_list(i) + (list(extra[i]) if extra else [])
+        out.append({j: v for j, v in enumerate(values) if not v.is_zero()})
+    return out
+
+
+_WIDE_PARTS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2**70, 2**80),
+    st.integers(-(2**80), -(2**70)),
+)
+
+
+@st.composite
+def _wide_scalars(draw):
+    """Zero, real, imaginary or complex, with small or 70-80-bit
+    numerators and denominators."""
+    def part():
+        return rational(draw(_WIDE_PARTS), abs(draw(_WIDE_PARTS)) or 1)
+
+    kind = draw(st.sampled_from(["zero", "real", "imaginary", "complex"]))
+    if kind == "zero":
+        return ZERO
+    return GaussRat(
+        part() if kind != "imaginary" else rational(0),
+        part() if kind != "real" else rational(0),
+    )
+
+
+@st.composite
+def _systems(draw):
+    """(a, b): a of shape 0..10 x 0..10 with zero, duplicate and multiple
+    rows; b = a x for a random x, or random (then often inconsistent)."""
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    a = draw(_kernel_matrices(rows, cols, _wide_scalars))
+    if rows > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        grid = a.to_lists()
+        grid[i] = list(grid[j])
+        a = ExactMatrix(rows, cols, [e for row in grid for e in row])
+    if draw(st.booleans()):
+        b = a.mul_vector([draw(_wide_scalars()) for _ in range(cols)])
+    else:
+        b = [draw(_wide_scalars()) for _ in range(rows)]
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(_systems())
+def test_solvers_match_gaussrat_gauss_jordan(system):
+    a, b = system
+    n = a.cols
+    pivots = _reference_sparse_rref(_reference_rows(a, [[v] for v in b]))
+    rhs = {i: v for i, v in enumerate(b) if not v.is_zero()}
+    if n in pivots:
+        with pytest.raises(InconsistentSystem):
+            solve_linear(a, b)
+        with pytest.raises(InconsistentSystem):
+            solve_sparse(_sparse_columns(a), rhs)
+    else:
+        particular = [ZERO] * n
+        for p, row in pivots.items():
+            particular[p] = row.get(n, ZERO)
+        part, ker = solve_linear(a, b)
+        assert part == particular
+        assert ker == kernel(a)
+        assert solve_sparse(_sparse_columns(a), rhs) == particular
+    pivots = _reference_sparse_rref(_reference_rows(a))
+    free = [f for f in range(n) if f not in pivots]
+    expected = []
+    for f in free:
+        vec = [ZERO] * n
+        vec[f] = ONE
+        for p, row in pivots.items():
+            vec[p] = -row.get(f, ZERO)
+        expected.append(vec)
+    assert kernel(a) == expected
+    assert rank(a) == len(pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 10))
+def test_inverse_matches_gaussrat_gauss_jordan(data, n):
+    a = data.draw(_kernel_matrices(n, n, _wide_scalars))
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    pivots = _reference_sparse_rref(_reference_rows(a, identity))
+    if any(c not in pivots for c in range(n)):
+        with pytest.raises(SingularMatrix):
+            inverse(a)
+    else:
+        expected = [pivots[i].get(n + j, ZERO) for i in range(n) for j in range(n)]
+        assert inverse(a) == ExactMatrix(n, n, expected)
+
+
+def test_hessenberg_input_needs_no_inverse(monkeypatch):
+    """Upper Hessenberg input comes back unchanged, without a single
+    scalar inverse."""
+    calls = []
+    original = GaussRat.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GaussRat, "inverse", counting)
+    h = ExactMatrix.from_rows([
+        [gr(1), gr(2), I, gr("1/3")],
+        [gr(3), ZERO, gr(5), gr(-1)],
+        [ZERO, gr(0, 2), gr(1), gr(4)],
+        [ZERO, ZERO, gr("7/2"), gr(2)],
+    ])
+    assert hessenberg(h) == h
+    assert calls == []
 
 
 def test_kernel_shape_errors():

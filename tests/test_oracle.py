@@ -20,8 +20,10 @@ from adjreal.matrix import (
 )
 from adjreal.oracle import (
     BiPoly,
+    _cleared_columns,
     _coprime_split,
     _local_min_poly,
+    _poly_on_vector,
     _sym_mul_2x2,
     enumerate_involutive_reversers,
     height_pool,
@@ -108,6 +110,19 @@ def test_local_min_poly_matches_reference(rng):
         p = _local_min_poly(a, v)
         assert p == _reference_local_min_poly(a, v)
         assert all(e.is_zero() for e in _apply_poly(p, a, v))
+
+
+def test_poly_on_vector_matches_gaussrat_horner(rng):
+    """p(A) v by Horner on cleared Gaussian-integer vectors equals Horner
+    over GaussRat, with fractional and imaginary entries and
+    coefficients."""
+    pool = SMALL_SCALARS + [gr("1/3"), gr(0, "2/5"), gr("-7/4", "1/6")]
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        a = ExactMatrix(n, n, [rng.choice(pool) for _ in range(n * n)])
+        v = [rng.choice(pool) for _ in range(n)]
+        p = ExactPoly([rng.choice(pool) for _ in range(rng.randrange(0, 5))] + [ONE])
+        assert _poly_on_vector(p, _cleared_columns(a), v) == _apply_poly(p, a, v)
 
 
 def test_local_min_poly_of_zero_vector_is_one():

@@ -1,5 +1,7 @@
 """Reality verdicts and reverser constructions, semisimple case."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -451,18 +453,40 @@ def test_witness_dense_sl16():
     assert verify_certificate(cert).ok
 
 
+def test_witness_dense_sl30_is_pinned():
+    """The densely conjugated sl(30) element, spectrum +-1..+-15: its
+    eigenspace kernels and eigenbasis inverse run through the fraction-free
+    elimination.  The certificate is pinned byte for byte."""
+    x = _dense_sl(30)
+    cert = witness_general_semisimple(x, LieContext("sl", "SL", 30), False)
+    g = cert.reverser
+    assert cert.element == x and not cert.claims_involution
+    assert g * x == -(x * g)
+    assert det(g) == 1
+    digest = hashlib.sha256(
+        json.dumps(cert.to_json(), sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == "701bb370038fdb3a07bfbf29e55c5b61311fc8f6495f5dc5e39e838958e0034d"
+
+
 # -- typed self-checks ------------------------------------------------------------
 
 
 def test_self_checks_survive_python_optimize():
-    """The helpers' internal checks raise SelfCheckFailed, not AssertionError
-    or ArithmeticError, and python -O keeps them."""
+    """The helpers' internal checks, and the elimination's exact Gaussian-
+    integer divisions, raise SelfCheckFailed, not AssertionError or
+    ArithmeticError, and python -O keeps them."""
     code = (
         "from adjreal import semisimple as s\n"
         "from adjreal.errors import SelfCheckFailed\n"
         "from adjreal.gaussian import I, ONE, ZERO\n"
         "from adjreal.liecore import LieContext, jn_matrix\n"
-        "from adjreal.matrix import ExactMatrix\n"
+        "from adjreal.matrix import ExactMatrix, _Echelon\n"
+        "def inexact(den):\n"
+        "    echelon = _Echelon()\n"
+        "    echelon.add({0: (2, 0), 1: (1, 0)})\n"
+        "    echelon.den = den  # corrupt: the next division is inexact\n"
+        "    echelon.add({1: (1, 0), 2: (1, 0)})\n"
         "cases = {\n"
         "    'linear': lambda: s._witness_linear([ONE, ONE], LieContext('gl', 'GL', 2), False),\n"
         "    'projective': lambda: s._witness_projective_linear([ONE, ONE], LieContext('sl', 'PSL', 2)),\n"
@@ -472,6 +496,8 @@ def test_self_checks_survive_python_optimize():
         "    'symmetric-form': lambda: s._orthogonalize_symmetric([[ONE, I]], s._bilinear(None)),\n"
         "    'antisymmetric-form': lambda: s._symplectic_pair_basis(\n"
         "        [[ONE, ZERO]], s._bilinear(jn_matrix(1)), -ONE),\n"
+        "    'inexact-real': lambda: inexact((3, 0)),\n"
+        "    'inexact-complex': lambda: inexact((1, 1)),\n"
         "}\n"
         "for name, case in cases.items():\n"
         "    try:\n"
@@ -489,5 +515,6 @@ def test_self_checks_survive_python_optimize():
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [
         "linear", "projective", "symplectic", "so-pairs", "sp-pairs",
-        "symmetric-form", "antisymmetric-form", "False",
+        "symmetric-form", "antisymmetric-form", "inexact-real", "inexact-complex",
+        "False",
     ]

@@ -1,5 +1,7 @@
 """sl2-triples, chain data, the sigma/tau factors, and full reversal."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,12 +10,18 @@ import pytest
 
 import adjreal
 from adjreal.certificates import verify_certificate
-from adjreal.errors import NotInCentralizer, NotNilpotent, ZeroElement
-from adjreal.gaussian import I, ONE, gr
+from adjreal.errors import (
+    NotInCentralizer,
+    NotNilpotent,
+    SpectrumNotSplit,
+    ZeroElement,
+)
+from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr
 from adjreal.liecore import LieContext, algebra_member, jn_matrix
 from adjreal.matrix import ExactMatrix, det, inverse, solve_linear
 from adjreal.symplectic import (
     Sl2Triple,
+    _form_relative_reverser,
     build_sigma,
     build_tau,
     chain_decomposition,
@@ -406,3 +414,43 @@ def test_chain_data_json():
     assert blob["parts"] == [2]
     assert blob["counts"] == {"2": 2}
     assert len(blob["basis"]["entries"]) == 4
+
+
+def _transvection(n, v, c):
+    """I + c v (v^T J) for the standard form J, which preserves J."""
+    vj = [v[k + n] if k < n else -v[k - n] for k in range(2 * n)]
+    return ExactMatrix.from_rows(
+        [[(ONE if i == j else ZERO) + c * v[i] * vj[j] for j in range(2 * n)]
+         for i in range(2 * n)]
+    )
+
+
+def test_reverse_full_on_conjugated_8x8_nilpotent_is_pinned():
+    """The (4,4) nilpotent of sp(4) after two symplectic transvections:
+    its sl2 ad-systems carry minors of thousands of bits through the
+    fraction-free elimination.  The certificate is pinned byte for byte."""
+    x = nilpotent_from_partition([4, 4])
+    for v in (
+        ["-i", "-1", "3*i", "1/3-2*i", "0", "1", "-3/2", "1"],
+        ["-i", "1-i", "0", "-3/2", "2", "0", "1", "3*i"],
+    ):
+        v = [GaussRat.parse(e) for e in v]
+        x = _transvection(4, v, ONE) * x * _transvection(4, v, -ONE)
+    cert = reverse_full(x)
+    g = cert.reverser
+    assert cert.element == x
+    assert g * x == -(x * g)
+    assert verify_certificate(cert).ok
+    digest = hashlib.sha256(
+        json.dumps(cert.to_json(), sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == "5bf73cdd27906f78b3153cabb74aab6c830b8ae014c388f1a06fdf988a545820"
+
+
+def test_form_relative_reverser_keeps_its_spectrum_message():
+    # eigenvalues +-sqrt(2)
+    xsd = ExactMatrix.from_rows([[0, 2], [1, 0]])
+    with pytest.raises(
+        SpectrumNotSplit, match=r"^semisimple block has eigenvalues outside Q\(i\)$"
+    ):
+        _form_relative_reverser(xsd, None, odd=False)

@@ -16,6 +16,8 @@ from adjreal.gaussian import ONE, ZERO, GaussRat, gr, rational  # noqa: E402
 from adjreal.liecore import LieContext, algebra_member  # noqa: E402
 from adjreal.matrix import (  # noqa: E402
     ExactMatrix,
+    _rref,
+    _sparse_rows,
     char_poly,
     det,
     eval_poly,
@@ -92,6 +94,25 @@ def test_rank_and_nullity_match_sympy(m):
     basis = kernel(m)
     assert len(basis) == m.cols - expected
     assert all(e.is_zero() for v in basis for e in m.mul_vector(v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rectangular_matrices())
+def test_rref_matches_sympy(m):
+    """The fraction-free Gaussian-integer RREF, each stored entry divided
+    by the common denominator, is sympy's RREF over QQ_I."""
+    expected, pivots = _domain_matrix(m).rref()
+    echelon = _rref(_sparse_rows(m))
+    assert sorted(echelon.pivots) == list(pivots)
+    rows = []
+    for p in sorted(echelon.pivots):
+        row = [ZERO] * m.cols
+        row[p] = ONE
+        for k, z in echelon.pivots[p].items():
+            row[k] = echelon.value(z)
+        rows.append(row)
+    rows.extend([ZERO] * m.cols for _ in range(m.rows - len(rows)))
+    assert rows == [[_from_qqi(c) for c in row] for row in expected.to_list()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,16 +230,16 @@ def _symplectic_transvection(n, v, c):
 @st.composite
 def conjugated_nilpotents(draw):
     """(partition, X): nilpotent_from_partition conjugated by one or two
-    symplectic transvections, so X stays in sp(n) but is not in model
-    form.  Partitions of 2n <= 6 with a part above 1 (X = 0 has no
-    sl2-triple)."""
+    symplectic transvections (one at 2n = 8), so X stays in sp(n) but is
+    not in model form.  Partitions of 2n <= 8 with a part above 1 (X = 0
+    has no sl2-triple)."""
     parts = draw(st.sampled_from([
-        p for total in (2, 4, 6) for p in symplectic_partitions(total)
+        p for total in (2, 4, 6, 8) for p in symplectic_partitions(total)
         if p[0] > 1
     ]))
     x = nilpotent_from_partition(parts)
     n = x.rows // 2
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(1 if n == 4 else draw(st.integers(1, 2))):
         v = [draw(st.sampled_from(ENTRIES)) for _ in range(2 * n)]
         x = (_symplectic_transvection(n, v, ONE) * x
              * _symplectic_transvection(n, v, -ONE))

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .liecore import LieContext, algebra_member, jn_matrix
-from .matrix import ExactMatrix, det
+from .liecore import LieContext, algebra_member, group_failure
+from .matrix import ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -59,29 +59,6 @@ class VerificationReport:
         return {"verified": self.ok, "failures": list(self.failures)}
 
 
-def _group_failure(g: ExactMatrix, ctx: LieContext) -> str | None:
-    size = ctx.matrix_size
-    if not g.is_square() or g.rows != size:
-        return f"GroupMembership(size != {size})"
-    d = det(g)
-    if d.is_zero():
-        return "Invertibility(det g = 0)"
-    if ctx.group == "GL":
-        return None
-    if ctx.group in ("SL", "PSL"):
-        return None if d == 1 else "GroupMembership(det g != 1)"
-    if ctx.group in ("O", "SO"):
-        if not (g.transpose() * g == ExactMatrix.identity(size)):
-            return "GroupMembership(g^t g != I)"
-        if ctx.group == "SO" and d != 1:
-            return "GroupMembership(det g != 1)"
-        return None
-    j = jn_matrix(ctx.n)
-    if not (g.transpose() * j * g == j):
-        return "GroupMembership(g^t J g != J)"
-    return None
-
-
 def verify_certificate(cert: ReverserCertificate) -> VerificationReport:
     """Exact verification; failures name the violated equations."""
     failures = []
@@ -92,7 +69,7 @@ def verify_certificate(cert: ReverserCertificate) -> VerificationReport:
         return VerificationReport(False, failures)
     if not algebra_member(x, ctx):
         failures.append(f"AlgebraMembership(X not in {ctx.algebra})")
-    gf = _group_failure(g, ctx)
+    gf = group_failure(g, ctx)
     if gf is not None:
         failures.append(gf)
     else:

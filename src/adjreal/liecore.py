@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, ParseError, SizeMismatch
 from .gaussian import ONE, ZERO, GaussRat
-from .matrix import ExactMatrix, det, is_invertible, json_int, kernel
+from .matrix import ExactMatrix, det, json_int, kernel
 
 ALGEBRAS = ("gl", "sl", "so", "sp")
 GROUPS = ("GL", "SL", "O", "SO", "Sp", "PSL", "PSp")
@@ -101,19 +101,37 @@ def algebra_member(x: ExactMatrix, ctx: LieContext) -> bool:
     return (x.transpose() * j + j * x).is_zero()
 
 
-def group_member(g: ExactMatrix, ctx: LieContext) -> bool:
-    """Group equations; PSL/PSp test the matrix representative in SL/Sp."""
-    _check_size(g, ctx)
+def group_failure(g: ExactMatrix, ctx: LieContext) -> str | None:
+    """The first group equation g violates, named, or None: det g != 0,
+    then det g = 1 for SL/PSL/SO, g^t g = I for O/SO, g^t J g = J for
+    Sp/PSp (PSL/PSp test the matrix representative in SL/Sp)."""
+    size = ctx.matrix_size
+    if not g.is_square() or g.rows != size:
+        return f"GroupMembership(size != {size})"
+    d = det(g)
+    if d.is_zero():
+        return "Invertibility(det g = 0)"
     if ctx.group == "GL":
-        return is_invertible(g)
+        return None
     if ctx.group in ("SL", "PSL"):
-        return det(g) == 1
+        return None if d == 1 else "GroupMembership(det g != 1)"
     if ctx.group in ("O", "SO"):
-        if not (g.transpose() * g == ExactMatrix.identity(g.rows)):
-            return False
-        return ctx.group == "O" or det(g) == 1
+        if not (g.transpose() * g == ExactMatrix.identity(size)):
+            return "GroupMembership(g^t g != I)"
+        if ctx.group == "SO" and d != 1:
+            return "GroupMembership(det g != 1)"
+        return None
     j = jn_matrix(ctx.n)
-    return g.transpose() * j * g == j
+    if not (g.transpose() * j * g == j):
+        return "GroupMembership(g^t J g != J)"
+    return None
+
+
+def group_member(g: ExactMatrix, ctx: LieContext) -> bool:
+    """Group equations of ``group_failure``; SizeMismatch for a g of the
+    wrong size."""
+    _check_size(g, ctx)
+    return group_failure(g, ctx) is None
 
 
 @dataclass(frozen=True)

@@ -325,12 +325,6 @@ def _cleared_dict(values) -> dict:
     return {k: (re, im) for k, re, im in _cleared(values)[1]}
 
 
-def _cleared_row(row: dict) -> dict:
-    """A {column: GaussRat} row of nonzero values, cleared as above."""
-    cols = list(row)
-    return {cols[k]: z for k, z in _cleared_dict(list(row.values())).items()}
-
-
 def _gauss_quotient(x, y) -> GaussRat:
     """x / y for Gaussian integers x and y != 0, given as (re, im) pairs:
     x * conj(y) / N(y)."""
@@ -349,19 +343,28 @@ def _exact_divider(d):
     dr, di = d
     if (dr, di) == (1, 0):
         return lambda zr, zi: (zr, zi)
-
-    def exact(qr, rr, qi, ri):
-        if rr or ri:
-            raise SelfCheckFailed("inexact Gaussian-integer division in elimination")
-        return qr, qi
-
     if not di:
-        return lambda zr, zi: exact(*divmod(zr, dr), *divmod(zi, dr))
+        def divide_real(zr, zi):
+            qr, rr = divmod(zr, dr)
+            qi, ri = divmod(zi, dr)
+            if rr or ri:
+                _inexact()
+            return qr, qi
+        return divide_real
     norm = dr * dr + di * di
-    # z * conj(d) / N(d)
-    return lambda zr, zi: exact(
-        *divmod(zr * dr + zi * di, norm), *divmod(zi * dr - zr * di, norm)
-    )
+
+    def divide_complex(zr, zi):
+        # z * conj(d) / N(d)
+        qr, rr = divmod(zr * dr + zi * di, norm)
+        qi, ri = divmod(zi * dr - zr * di, norm)
+        if rr or ri:
+            _inexact()
+        return qr, qi
+    return divide_complex
+
+
+def _inexact():
+    raise SelfCheckFailed("inexact Gaussian-integer division in elimination")
 
 
 class _Echelon:
@@ -520,22 +523,16 @@ def solve_linear(a: ExactMatrix, b):
     return _particular(echelon, n), _kernel_from_rref(echelon, n)
 
 
-def solve_sparse(columns, rhs):
-    """Solve sum_k x_k columns[k] = rhs exactly, for sparse columns and
-    right-hand side given as {row: value} maps of nonzero values.
+def solve_sparse(rows, n: int):
+    """Solve the system whose rows are {column: (re, im)} maps of their
+    nonzero Gaussian-integer entries, columns 0..n-1 holding the unknowns
+    and column n the right-hand side.
 
     Returns the particular solution ``solve_linear`` gives on the same
     system (free variables set to zero), as a list.  Raises
     InconsistentSystem when no solution exists.
     """
-    n = len(columns)
-    rows: dict = {}
-    for k, col in enumerate(columns):
-        for r, v in col.items():
-            rows.setdefault(r, {})[k] = v
-    for r, v in rhs.items():
-        rows.setdefault(r, {})[n] = v
-    return _particular(_rref([_cleared_row(row) for row in rows.values()]), n)
+    return _particular(_rref(rows), n)
 
 
 def kernel(a: ExactMatrix):
@@ -552,7 +549,8 @@ def det(a: ExactMatrix) -> GaussRat:
     pivoting, on the rows cleared to Gaussian integers.
 
     Row i is a_i / d_i with a_i over Z[i], so det A = det(a) / prod d_i.
-    Each Bareiss step divides exactly, in Z[i], by the previous pivot.
+    Each Bareiss step divides exactly, in Z[i], by the previous pivot
+    (``_exact_divider``: an inexact division is SelfCheckFailed).
     """
     if not a.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
@@ -567,7 +565,7 @@ def det(a: ExactMatrix) -> GaussRat:
             row_re[j], row_im[j] = r, m
         re.append(row_re)
         im.append(row_im)
-    sign, pr, pi = 1, 1, 0  # pr + pi*i is the previous pivot
+    sign, pivot = 1, (1, 0)  # the previous pivot
     for c in range(n):
         p = next((i for i in range(c, n) if re[i][c] or im[i][c]), None)
         if p is None:
@@ -576,7 +574,7 @@ def det(a: ExactMatrix) -> GaussRat:
             re[c], re[p], im[c], im[p] = re[p], re[c], im[p], im[c]
             sign = -sign
         cr, ci = re[c][c], im[c][c]
-        norm = pr * pr + pi * pi
+        divide = _exact_divider(pivot)
         top_re, top_im = re[c], im[c]
         for i in range(c + 1, n):
             row_re, row_im = re[i], im[i]
@@ -587,9 +585,9 @@ def det(a: ExactMatrix) -> GaussRat:
                       - fr * top_re[j] + fi * top_im[j])
                 xi = (row_re[j] * ci + row_im[j] * cr
                       - fr * top_im[j] - fi * top_re[j])
-                row_re[j] = (xr * pr + xi * pi) // norm
-                row_im[j] = (xi * pr - xr * pi) // norm
-        pr, pi = cr, ci
+                row_re[j], row_im[j] = divide(xr, xi)
+        pivot = (cr, ci)
+    pr, pi = pivot
     return GaussRat(rational(sign * pr, den), rational(sign * pi, den))
 
 

@@ -300,20 +300,6 @@ def _antidiag_rotation_blocks(m: int) -> ExactMatrix:
     return ExactMatrix.from_rows(b)
 
 
-def _sp_flip(n: int, positions) -> ExactMatrix:
-    """Symplectic sign flip: rotation block on coordinates (j, n+j) for
-    each listed j, sending h_j to -h_j on the canonical form."""
-    g = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for k in range(2 * n):
-        g[k][k] = ONE
-    for j in positions:
-        g[j][j] = ZERO
-        g[n + j][n + j] = ZERO
-        g[j][n + j] = -ONE
-        g[n + j][j] = ONE
-    return ExactMatrix.from_rows(g)
-
-
 def _sp_permutation(n: int, perm) -> ExactMatrix:
     """diag(P, P) for the permutation sending slot a to old index perm[a]."""
     g = [[ZERO] * (2 * n) for _ in range(2 * n)]
@@ -328,7 +314,8 @@ def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
     eigenvalue has even multiplicity."""
     n = ctx.n
     flips = [j for j, v in enumerate(values) if not v.is_zero() and v != _pair_rep(v)]
-    s1 = _sp_flip(n, flips)
+    # rotation blocks on (j, n + j) send h_j to -h_j on the canonical form
+    s1 = _rotation_reverser(2 * n, [(j, n + j) for j in flips])
     hvals = [_pair_rep(v) if not v.is_zero() else v for v in values]
     order = sorted(range(n), key=lambda j: (hvals[j].lex_key(), j))
     s2 = _sp_permutation(n, order)

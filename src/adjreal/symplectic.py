@@ -15,6 +15,7 @@ semisimple part has eigenvalues outside Q(i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .certificates import ReverserCertificate, verify_certificate
@@ -32,6 +33,7 @@ from .jordan import jordan_chevalley
 from .liecore import LieContext, algebra_member, jn_matrix, kernel
 from .matrix import (
     ExactMatrix,
+    _cleared,
     char_poly,
     det,
     eigenspaces,
@@ -65,17 +67,17 @@ def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def _sp_basis_entries(n: int):
     """The basis of sp(n) behind ``sp_basis``, each element as its nonzero
-    entries {(row, col): +-1}: one or two unit entries."""
+    entries {(row, col): (re, im)}: one or two unit entries (+-1, 0)."""
     out = []
     for p in range(n):
         for q in range(n):
-            out.append({(p, q): ONE, (n + q, n + p): -ONE})
+            out.append({(p, q): (1, 0), (n + q, n + p): (-1, 0)})
     for p in range(n):
         for q in range(p, n):
-            out.append({(p, n + q): ONE, (q, n + p): ONE})
+            out.append({(p, n + q): (1, 0), (q, n + p): (1, 0)})
     for p in range(n):
         for q in range(p, n):
-            out.append({(n + p, q): ONE, (n + q, p): ONE})
+            out.append({(n + p, q): (1, 0), (n + q, p): (1, 0)})
     return out
 
 
@@ -87,7 +89,7 @@ def sp_basis(n: int):
     for entries in _sp_basis_entries(n):
         flat = [ZERO] * (size * size)
         for (i, j), v in entries.items():
-            flat[i * size + j] = v
+            flat[i * size + j] = GaussRat(*v)
         out.append(ExactMatrix(size, size, flat))
     return out
 
@@ -112,111 +114,112 @@ class Sl2Triple:
         return {"x": self.x.to_json(), "h": self.h.to_json(), "y": self.y.to_json()}
 
 
-# Sparse matrices in the sl2 systems are {(row, col): value} maps of the
-# nonzero entries; a fixed operand M is indexed by row and by column.
+# Sparse matrices in the sl2 system are {(row, col): (re, im)} maps of
+# their nonzero Gaussian-integer entries; a fixed operand M is indexed by
+# row and by column.
 
 
-def _sparse(m: ExactMatrix) -> dict:
-    return {
-        (i, j): m[i, j]
-        for i in range(m.rows)
-        for j in range(m.cols)
-        if not m[i, j].is_zero()
-    }
-
-
-def _indexed(m: ExactMatrix):
+def _cleared_indexed(m: ExactMatrix):
+    """(d, (by_row, by_col)) with m = M / d for a Gaussian-integer M whose
+    nonzero entries (col, re, im) are listed per row, and (row, re, im)
+    per column."""
+    d, nonzero = _cleared(m.entries)
     by_row: dict = {}
     by_col: dict = {}
-    for (i, j), v in _sparse(m).items():
-        by_row.setdefault(i, []).append((j, v))
-        by_col.setdefault(j, []).append((i, v))
-    return by_row, by_col
+    for k, re, im in nonzero:
+        i, j = divmod(k, m.cols)
+        by_row.setdefault(i, []).append((j, re, im))
+        by_col.setdefault(j, []).append((i, re, im))
+    return d, (by_row, by_col)
 
 
 def _bracket(a: dict, m) -> dict:
-    """[A, M] = AM - MA for sparse A and an indexed operand M."""
+    """[A, M] = AM - MA over Z[i] for sparse A and an indexed operand M."""
     by_row, by_col = m
     out: dict = {}
-    for (i, j), v in a.items():
-        for k, w in by_row.get(j, ()):
-            t = v * w
-            out[i, k] = out[i, k] + t if (i, k) in out else t
-        for k, w in by_col.get(i, ()):
-            t = w * v
-            out[k, j] = out[k, j] - t if (k, j) in out else -t
-    return {ij: v for ij, v in out.items() if not v.is_zero()}
+    for (i, j), (vr, vi) in a.items():
+        for k, wr, wi in by_row.get(j, ()):
+            yr, yi = out.get((i, k), (0, 0))
+            out[i, k] = (yr + vr * wr - vi * wi, yi + vr * wi + vi * wr)
+        for k, wr, wi in by_col.get(i, ()):
+            yr, yi = out.get((k, j), (0, 0))
+            out[k, j] = (yr - wr * vr + wi * vi, yi - wr * vi - wi * vr)
+    return {ij: z for ij, z in out.items() if z[0] or z[1]}
 
 
-def _solve_in_sp(n: int, equations, target: dict) -> ExactMatrix:
-    """Particular solution w = sum_k c_k b_k over the basis of sp(n) of the
-    linear system equations(w) = (target, 0, ..., 0).
+def _solve_in_sp(x: ExactMatrix, commute_with) -> ExactMatrix:
+    """Particular solution W = sum_k c_k b_k over the basis of sp(n) of
+    [[W,X],X] = -2X and, for each S in ``commute_with``, [[W,X],S] = 0
+    and [W,S] = 0.
 
-    ``equations`` maps a sparse basis element to the list of sparse
-    matrices it contributes, one per equation block; the columns are
-    assembled and solved sparsely.  Free coefficients are zero, as with
-    ``solve_linear`` on the dense system.
+    With X = M/d and S = N/e over Z[i], the blocks are d^2 [[W,X],X] =
+    [[W,M],M] = -2dM, [[W,M],N] = 0 and [W,N] = 0: one row per entry and
+    one column per basis element, each row divided by the gcd of its
+    integer parts.  Free coefficients are zero, as with ``solve_linear``
+    on the dense system.
     """
-    size = 2 * n
+    size = x.rows
     block = size * size
-
-    def flatten(mats):
-        col = {}
-        for t, m in enumerate(mats):
-            for (i, j), v in m.items():
-                col[t * block + i * size + j] = v
-        return col
-
-    basis = _sp_basis_entries(n)
-    coeffs = solve_sparse([flatten(equations(b)) for b in basis], flatten([target]))
+    d, xi = _cleared_indexed(x)
+    others = [_cleared_indexed(s)[1] for s in commute_with]
+    basis = _sp_basis_entries(size // 2)
+    rows: dict = {}
+    for k, b in enumerate(basis):
+        bx = _bracket(b, xi)
+        blocks = [_bracket(bx, xi)]
+        for s in others:
+            blocks += [_bracket(bx, s), _bracket(b, s)]
+        for t, m in enumerate(blocks):
+            for (i, j), z in m.items():
+                rows.setdefault(t * block + i * size + j, {})[k] = z
+    rhs = len(basis)
+    for i, entries in xi[0].items():
+        for j, re, im in entries:
+            rows.setdefault(i * size + j, {})[rhs] = (-2 * d * re, -2 * d * im)
+    for row in rows.values():
+        g = math.gcd(*(part for z in row.values() for part in z))
+        if g > 1:
+            for c, (re, im) in row.items():
+                row[c] = (re // g, im // g)
+    coeffs = solve_sparse(list(rows.values()), rhs)
     flat = [ZERO] * block
     for c, b in zip(coeffs, basis):
         if not c.is_zero():
-            for (i, j), v in b.items():
-                flat[i * size + j] = flat[i * size + j] + c * v
+            for (i, j), (re, _) in b.items():
+                flat[i * size + j] = flat[i * size + j] + c * re
     return ExactMatrix(size, size, flat)
 
 
 def sl2_triple(x: ExactMatrix, commute_with=()) -> Sl2Triple:
     """Complete a nonzero nilpotent X in sp(n) to an sl2-triple.
 
-    H is found in the image of ad(X) restricted to sp (intersected with
-    the centralizer of every matrix in ``commute_with``), which guarantees
-    a completing Y; both steps are plain linear algebra.  The systems
-    [[X,W],X] = 2X, [[X,W],S] = 0, [W,S] = 0 for W and [X,Y] = H,
-    [H,Y] + 2Y = 0, [Y,S] = 0 for Y are written as [[W,X],X] = -2X and
-    [Y,X] = -H, [Y,H] - 2Y = 0 (same solutions) and built sparsely.
+    H = [X, W] for the W of ``_solve_in_sp``: it lies in the image of
+    ad(X) restricted to sp (intersected with the centralizer of every
+    matrix in ``commute_with``) and [H, X] = 2X, which guarantees a
+    completing Y.  Y is read off W: [X, W] = H has ad-H weight 0 and X
+    weight 2, so the weight -2 component of W satisfies [X, Y] = H and
+    [H, Y] = -2Y (and commutes with each S, as W does); it is the only
+    such Y, because the centralizer of X has weights >= 0.  In an eigenbasis P of H with
+    integer weights lam_i, Y = P M' P^-1, where M' keeps the entries
+    (i, j) of P^-1 W P with lam_i - lam_j = -2.
     """
     ctx = _sp_context(x)
     if x.is_zero():
         raise ZeroElement("the zero element generates no sl2-triple")
     if not is_nilpotent(x):
         raise NotNilpotent("sl2-triples require a nilpotent element")
-    xi = _indexed(x)
-    others = [_indexed(s) for s in commute_with]
-
-    def w_equations(b):
-        bx = _bracket(b, xi)
-        out = [_bracket(bx, xi)]
-        for s in others:
-            out += [_bracket(bx, s), _bracket(b, s)]
-        return out
-
-    w = _solve_in_sp(ctx.n, w_equations, _sparse(x.scale(-2)))
+    w = _solve_in_sp(x, commute_with)
     h = _commutator(x, w)
-    hi = _indexed(h)
-
-    def y_equations(b):
-        bh = _bracket(b, hi)
-        for ij, v in b.items():
-            t = v * 2
-            bh[ij] = bh[ij] - t if ij in bh else -t
-        out = [_bracket(b, xi), {ij: v for ij, v in bh.items() if not v.is_zero()}]
-        for s in others:
-            out.append(_bracket(b, s))
-        return out
-
-    y = _solve_in_sp(ctx.n, y_equations, _sparse(-h))
+    spaces = eigenspaces(h, char_poly(h))
+    weights = [lam.re for lam, vecs in spaces for _ in vecs]
+    p = ExactMatrix.from_columns([v for _, vecs in spaces for v in vecs])
+    p_inv = inverse(p)
+    m = p_inv * w * p
+    size = 2 * ctx.n
+    y = p * ExactMatrix(size, size, [
+        m[i, j] if weights[i] - weights[j] == -2 else ZERO
+        for i in range(size) for j in range(size)
+    ]) * p_inv
     triple = Sl2Triple(x, h, y)
     triple.validate()
     return triple

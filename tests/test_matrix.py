@@ -1,5 +1,7 @@
 """Exact linear algebra: solving, invariant factors, similarity."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +67,26 @@ def _sparse_columns(a):
         {i: v for i, v in enumerate(a.column(j)) if not v.is_zero()}
         for j in range(a.cols)
     ]
+
+
+def _solve_sparse(columns, rhs):
+    """solve_sparse on sum_k x_k columns[k] = rhs, for sparse columns and
+    right-hand side given as {row: value} maps of nonzero values: each row
+    goes in as its {column: (re, im)} Gaussian integers, the values times
+    the lcm of their denominators, with the right-hand side in column
+    len(columns)."""
+    n = len(columns)
+    rows: dict = {}
+    for k, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[k] = v
+    for r, v in rhs.items():
+        rows.setdefault(r, {})[n] = v
+    cleared = []
+    for row in rows.values():
+        d = math.lcm(*(x.denominator for v in row.values() for x in (v.re, v.im)))
+        cleared.append({c: (int(v.re * d), int(v.im * d)) for c, v in row.items()})
+    return solve_sparse(cleared, n)
 
 
 def _reference_rref(rows, width):
@@ -154,14 +176,14 @@ def test_solve_sparse_matches_dense_particular_solution(rng):
             with pytest.raises(InconsistentSystem):
                 solve_linear(a, b)
             with pytest.raises(InconsistentSystem):
-                solve_sparse(_sparse_columns(a), rhs)
+                _solve_sparse(_sparse_columns(a), rhs)
         else:
             particular = [ZERO] * a.cols
             for r, c in enumerate(pivots):
                 particular[c] = aug[r][a.cols]
             expected = (particular, _reference_kernel(aug, pivots, a.cols))
             assert solve_linear(a, b) == expected
-            assert solve_sparse(_sparse_columns(a), rhs) == particular
+            assert _solve_sparse(_sparse_columns(a), rhs) == particular
         plain = a.to_lists()
         pivots = _reference_rref(plain, a.cols)
         assert kernel(a) == _reference_kernel(plain, pivots, a.cols)
@@ -453,7 +475,7 @@ def test_solvers_match_gaussrat_gauss_jordan(system):
         with pytest.raises(InconsistentSystem):
             solve_linear(a, b)
         with pytest.raises(InconsistentSystem):
-            solve_sparse(_sparse_columns(a), rhs)
+            _solve_sparse(_sparse_columns(a), rhs)
     else:
         particular = [ZERO] * n
         for p, row in pivots.items():
@@ -461,7 +483,7 @@ def test_solvers_match_gaussrat_gauss_jordan(system):
         part, ker = solve_linear(a, b)
         assert part == particular
         assert ker == kernel(a)
-        assert solve_sparse(_sparse_columns(a), rhs) == particular
+        assert _solve_sparse(_sparse_columns(a), rhs) == particular
     pivots = _reference_sparse_rref(_reference_rows(a))
     free = [f for f in range(n) if f not in pivots]
     expected = []

@@ -473,20 +473,28 @@ def test_witness_dense_sl30_is_pinned():
 
 
 def test_self_checks_survive_python_optimize():
-    """The helpers' internal checks, and the elimination's exact Gaussian-
-    integer divisions, raise SelfCheckFailed, not AssertionError or
-    ArithmeticError, and python -O keeps them."""
+    """The helpers' internal checks, and the exact Gaussian-integer
+    divisions of the elimination and of det, raise SelfCheckFailed, not
+    AssertionError or ArithmeticError, and python -O keeps them."""
     code = (
         "from adjreal import semisimple as s\n"
         "from adjreal.errors import SelfCheckFailed\n"
         "from adjreal.gaussian import I, ONE, ZERO\n"
         "from adjreal.liecore import LieContext, jn_matrix\n"
+        "from adjreal import matrix as m\n"
         "from adjreal.matrix import ExactMatrix, _Echelon\n"
         "def inexact(den):\n"
         "    echelon = _Echelon()\n"
         "    echelon.add({0: (2, 0), 1: (1, 0)})\n"
         "    echelon.den = den  # corrupt: the next division is inexact\n"
         "    echelon.add({1: (1, 0), 2: (1, 0)})\n"
+        "def wrong_pivot():\n"
+        "    right = m._exact_divider\n"
+        "    m._exact_divider = lambda d: right((d[0] + 1, d[1]))  # corrupt\n"
+        "    try:\n"
+        "        m.det(ExactMatrix.from_rows([[1, 2, 0], [3, 1, 1], [0, 1, 2]]))\n"
+        "    finally:\n"
+        "        m._exact_divider = right\n"
         "cases = {\n"
         "    'linear': lambda: s._witness_linear([ONE, ONE], LieContext('gl', 'GL', 2), False),\n"
         "    'projective': lambda: s._witness_projective_linear([ONE, ONE], LieContext('sl', 'PSL', 2)),\n"
@@ -498,6 +506,7 @@ def test_self_checks_survive_python_optimize():
         "        [[ONE, ZERO]], s._bilinear(jn_matrix(1)), -ONE),\n"
         "    'inexact-real': lambda: inexact((3, 0)),\n"
         "    'inexact-complex': lambda: inexact((1, 1)),\n"
+        "    'det-wrong-pivot': wrong_pivot,\n"
         "}\n"
         "for name, case in cases.items():\n"
         "    try:\n"
@@ -516,5 +525,5 @@ def test_self_checks_survive_python_optimize():
     assert run.stdout.split() == [
         "linear", "projective", "symplectic", "so-pairs", "sp-pairs",
         "symmetric-form", "antisymmetric-form", "inexact-real", "inexact-complex",
-        "False",
+        "det-wrong-pivot", "False",
     ]

@@ -18,7 +18,7 @@ from adjreal.errors import (
 )
 from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr
 from adjreal.liecore import LieContext, algebra_member, jn_matrix
-from adjreal.matrix import ExactMatrix, det, inverse, solve_linear
+from adjreal.matrix import ExactMatrix, det, inverse, solve_linear, solve_sparse
 from adjreal.symplectic import (
     Sl2Triple,
     _form_relative_reverser,
@@ -425,26 +425,95 @@ def _transvection(n, v, c):
     )
 
 
+def _conjugated(x, vectors):
+    """x conjugated by the transvection of each vector in turn (entries in
+    the wire grammar)."""
+    n = x.rows // 2
+    for v in vectors:
+        v = [GaussRat.parse(e) for e in v]
+        x = _transvection(n, v, ONE) * x * _transvection(n, v, -ONE)
+    return x
+
+
+_TRANSVECTIONS_8 = (
+    ["-i", "-1", "3*i", "1/3-2*i", "0", "1", "-3/2", "1"],
+    ["-i", "1-i", "0", "-3/2", "2", "0", "1", "3*i"],
+)
+
+
+def _certificate_digest(cert):
+    return hashlib.sha256(json.dumps(cert.to_json(), sort_keys=True).encode()).hexdigest()
+
+
 def test_reverse_full_on_conjugated_8x8_nilpotent_is_pinned():
     """The (4,4) nilpotent of sp(4) after two symplectic transvections:
-    its sl2 ad-systems carry minors of thousands of bits through the
-    fraction-free elimination.  The certificate is pinned byte for byte."""
-    x = nilpotent_from_partition([4, 4])
-    for v in (
-        ["-i", "-1", "3*i", "1/3-2*i", "0", "1", "-3/2", "1"],
-        ["-i", "1-i", "0", "-3/2", "2", "0", "1", "3*i"],
-    ):
-        v = [GaussRat.parse(e) for e in v]
-        x = _transvection(4, v, ONE) * x * _transvection(4, v, -ONE)
+    the eliminations behind its sl2-triple reach common denominators of
+    thousands of bits.  The certificate is pinned byte for byte."""
+    x = _conjugated(nilpotent_from_partition([4, 4]), _TRANSVECTIONS_8)
     cert = reverse_full(x)
     g = cert.reverser
     assert cert.element == x
     assert g * x == -(x * g)
     assert verify_certificate(cert).ok
-    digest = hashlib.sha256(
-        json.dumps(cert.to_json(), sort_keys=True).encode()
-    ).hexdigest()
-    assert digest == "5bf73cdd27906f78b3153cabb74aab6c830b8ae014c388f1a06fdf988a545820"
+    assert _certificate_digest(cert) == (
+        "5bf73cdd27906f78b3153cabb74aab6c830b8ae014c388f1a06fdf988a545820"
+    )
+
+
+def test_reverse_full_on_conjugated_12x12_nilpotent_is_pinned():
+    """The (6,4,2) nilpotent of sp(6) after one symplectic transvection:
+    solving a second ad-system for Y, rather than reading Y off W, would
+    take 288 rows with 3,223-bit minors.  The certificate is pinned byte
+    for byte."""
+    x = _conjugated(
+        nilpotent_from_partition([6, 4, 2]),
+        [["1", "-i", "2", "0", "1/2", "-1", "i", "3", "0", "-2", "1+i", "1"]],
+    )
+    cert = reverse_full(x)
+    assert cert.element == x
+    assert verify_certificate(cert).ok
+    assert _certificate_digest(cert) == (
+        "bb3e374bbae4b38ab927ee041010b3c3a8d3c000ec3e940b5cb28c5e7d067a26"
+    )
+
+
+def _conjugated_mixed_8x8():
+    """(X, X_s, X_n) for the mixed (4,4) element with parameter i, all
+    three conjugated by the first 8x8 transvection."""
+    return tuple(
+        _conjugated(m, _TRANSVECTIONS_8[:1])
+        for m in mixed_from_partition([4, 4], {4: [I]})
+    )
+
+
+def test_triple_matches_dense_reference_on_conjugated_8x8():
+    """Y read off W equals the dense reference's solution of the second
+    system, on the conjugated (4,4) nilpotent and a conjugated mixed
+    element."""
+    x = _conjugated(nilpotent_from_partition([4, 4]), _TRANSVECTIONS_8)
+    t = sl2_triple(x)
+    assert (t.x, t.h, t.y) == _dense_sl2_triple(x)
+    _, xs, xn = _conjugated_mixed_8x8()
+    t = sl2_triple(xn, commute_with=(xs,))
+    assert (t.x, t.h, t.y) == _dense_sl2_triple(xn, commute_with=(xs,))
+
+
+def test_triple_solves_one_sparse_system(monkeypatch):
+    """Only W is solved for; Y is read off it."""
+    from adjreal import symplectic
+
+    calls = []
+
+    def counted(rows, n):
+        calls.append(n)
+        return solve_sparse(rows, n)
+
+    monkeypatch.setattr(symplectic, "solve_sparse", counted)
+    sl2_triple(nilpotent_from_partition([4, 2]))
+    assert len(calls) == 1
+    _, xs, xn = _conjugated_mixed_8x8()
+    sl2_triple(xn, commute_with=(xs,))
+    assert len(calls) == 2
 
 
 def test_form_relative_reverser_keeps_its_spectrum_message():

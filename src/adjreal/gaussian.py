@@ -11,6 +11,7 @@ and friends); :func:`GaussRat.parse` and ``str()`` round-trip it.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -199,6 +200,20 @@ ZERO = GaussRat.from_int(0)
 ONE = GaussRat.from_int(1)
 I = GaussRat(_R_ZERO, _R_ONE)
 MINUS_ONE = GaussRat.from_int(-1)
+
+
+def _cleared(values):
+    """(d, [(index, re, im)]) for a sequence of GaussRat values: d is the
+    lcm of their denominators and re + im*i = d * value in Python ints,
+    listed for the nonzero values only."""
+    d = 1
+    for v in values:
+        d = math.lcm(d, v.re.denominator, v.im.denominator)
+    return d, [
+        (k, v.re.numerator * (d // v.re.denominator),
+         v.im.numerator * (d // v.im.denominator))
+        for k, v in enumerate(values) if v.re or v.im
+    ]
 
 
 def gr(re=0, im=0) -> GaussRat:

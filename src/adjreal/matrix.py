@@ -23,8 +23,6 @@ JSON wire format for matrices:
 
 from __future__ import annotations
 
-import math
-
 from .errors import (
     InconsistentSystem,
     ParseError,
@@ -33,7 +31,7 @@ from .errors import (
     SizeMismatch,
     SpectrumNotSplit,
 )
-from .gaussian import ONE, ZERO, GaussRat, rational
+from .gaussian import ONE, ZERO, GaussRat, _cleared, rational
 from .polynomial import ExactPoly, linear_roots, squarefree_part
 
 
@@ -42,20 +40,6 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{what} must be a JSON integer, got {value!r}")
     return value
-
-
-def _cleared(values):
-    """(d, [(index, re, im)]) for a sequence of GaussRat values: d is the
-    lcm of their denominators and re + im*i = d * value in Python ints,
-    listed for the nonzero values only."""
-    d = 1
-    for v in values:
-        d = math.lcm(d, v.re.denominator, v.im.denominator)
-    return d, [
-        (k, v.re.numerator * (d // v.re.denominator),
-         v.im.numerator * (d // v.im.denominator))
-        for k, v in enumerate(values) if v.re or v.im
-    ]
 
 
 class ExactMatrix:

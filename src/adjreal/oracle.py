@@ -28,12 +28,11 @@ from .errors import (
     SelfCheckFailed,
     SpectrumNotSplit,
 )
-from .gaussian import GaussRat, ONE, ZERO, rational
+from .gaussian import GaussRat, ONE, ZERO, _cleared, rational
 from .liecore import LieContext, algebra_member, group_member, reverser_linear_space
 from .matrix import (
     ExactMatrix,
     _Echelon,
-    _cleared,
     _gauss_quotient,
     char_poly,
     det,

@@ -3,11 +3,11 @@
 Coefficients are stored lowest degree first with no trailing zeros, so the
 zero polynomial has an empty coefficient tuple and degree -1.
 
-Root finding stays inside Q(i): candidate roots a/b are produced from the
-Gaussian-integer divisors of the trailing and leading coefficients (after
-clearing denominators), divisors are enumerated by factoring the
-integer norm, and only candidates inside an exact root bound are tried.
-Anything irrational is returned untouched as the cofactor.
+Root finding stays inside Q(i): the roots of the squarefree part are
+found modulo a small prime p = 1 (mod 4), lifted p-adically past an exact
+root bound, and read back as Gaussian rationals by rounding in a reduced
+lattice basis; only candidates that are exact roots are kept.  Anything
+irrational is returned untouched as the cofactor.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParseError
-from .gaussian import ONE, ZERO, GaussRat, rational
+from .gaussian import ONE, ZERO, GaussRat, _cleared, rational
 
 
 class ExactPoly:
@@ -247,199 +247,8 @@ def squarefree_decomposition(p: ExactPoly):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-integer support for rational-root extraction
+# Q(i) roots by lifting modulo a split prime
 # ---------------------------------------------------------------------------
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-ish inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"failed to factor {n}")  # pragma: no cover
-
-
-def factor_int(n: int) -> dict:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    out: dict = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = m
-        # trial division first; Pollard rho for hard cofactors
-        found = False
-        f = 17
-        while f * f <= m and f < 100000:
-            if m % f == 0:
-                stack.extend([f, m // f])
-                found = True
-                break
-            f += 2
-        if not found:
-            d = _pollard_rho(m)
-            stack.extend([d, m // d])
-    return out
-
-
-class Gint:
-    """Gaussian integer a + b*i used only inside root extraction."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-
-    def norm(self) -> int:
-        return self.a * self.a + self.b * self.b
-
-    def __mul__(self, other: "Gint") -> "Gint":
-        return Gint(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def __eq__(self, other) -> bool:
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def divmod(self, other: "Gint"):
-        """Rounded division making Z[i] Euclidean."""
-        n = other.norm()
-        pa = self.a * other.a + self.b * other.b
-        pb = self.b * other.a - self.a * other.b
-        qa = (2 * pa + n) // (2 * n)
-        qb = (2 * pb + n) // (2 * n)
-        q = Gint(qa, qb)
-        r = Gint(self.a - (q * other).a, self.b - (q * other).b)
-        return q, r
-
-    def divides(self, other: "Gint") -> bool:
-        _, r = other.divmod(self)
-        return r.a == 0 and r.b == 0
-
-    def exact_div(self, other: "Gint") -> "Gint":
-        q, r = self.divmod(other)
-        if r.a or r.b:
-            raise ArithmeticError("not an exact Gaussian division")
-        return q
-
-
-_UNITS = (Gint(1, 0), Gint(0, 1), Gint(-1, 0), Gint(0, -1))
-
-
-def _gaussian_primes_above(p: int):
-    """Gaussian primes dividing the rational prime p."""
-    if p == 2:
-        return [Gint(1, 1)]
-    if p % 4 == 3:
-        return [Gint(p, 0)]
-    # p = 1 mod 4: find s with s^2 = -1 mod p, then gcd(p, s + i)
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    s = pow(c, (p - 1) // 4, p)
-    g = _gint_gcd(Gint(p, 0), Gint(s, 1))
-    return [g, Gint(g.a, -g.b)]
-
-
-def _gint_gcd(x: Gint, y: Gint) -> Gint:
-    while y.a or y.b:
-        _, r = x.divmod(y)
-        x, y = y, r
-    return x
-
-
-def gaussian_divisors(z: Gint, max_norm: int | None = None):
-    """All divisors of z != 0 up to unit multiples (one per class), or
-    only those of norm at most max_norm >= 1.  Each divisor is grown one
-    prime factor at a time and norms only grow, so growth stops at the
-    limit."""
-    if z.norm() == 0:
-        raise ZeroDivisionError("divisors of zero requested")
-    powers = []
-    rest = z
-    for p, _ in sorted(factor_int(z.norm()).items()):
-        for g in _gaussian_primes_above(p):
-            e = 0
-            while g.divides(rest):
-                rest = rest.exact_div(g)
-                e += 1
-            if e:
-                powers.append((g, e))
-    divisors = [Gint(1, 0)]
-    for g, e in powers:
-        grown = []
-        for d in divisors:
-            for _ in range(e + 1):
-                if max_norm is not None and d.norm() > max_norm:
-                    break
-                grown.append(d)
-                d = d * g
-        divisors = grown
-    return divisors
-
-
-def _to_gaussian_integer_poly(p: ExactPoly):
-    """Scale p by a positive integer so coefficients land in Z[i], then
-    divide out the Gaussian-integer content."""
-    lcm = 1
-    for c in p.coeffs:
-        for part in (c.re, c.im):
-            d = int(part.denominator)
-            lcm = lcm * d // math.gcd(lcm, d)
-    gcoeffs = [
-        Gint(int(c.re * lcm), int(c.im * lcm)) for c in p.coeffs
-    ]
-    content = Gint(0, 0)
-    for g in gcoeffs:
-        if g.a or g.b:
-            content = g if (content.a == 0 and content.b == 0) else _gint_gcd(content, g)
-    return [g.exact_div(content) for g in gcoeffs]
 
 
 def _ceil_root(m: int, e: int) -> int:
@@ -456,27 +265,82 @@ def _ceil_root(m: int, e: int) -> int:
 
 def _root_bound(gcoeffs) -> int:
     """Integer B with |z| <= B for every complex root z of the polynomial
-    with Gaussian-integer coefficients a_0..a_d: Fujiwara's bound
+    with Gaussian-integer coefficients (re, im) a_0..a_d: Fujiwara's bound
     2 max_k |a_{d-k} / a_d|^(1/k), with a_0 halved, rounded up exactly."""
     d = len(gcoeffs) - 1
-    lead = gcoeffs[-1].norm()
+    re, im = gcoeffs[-1]
+    lead = re * re + im * im
     bound = 0
     for k in range(1, d + 1):
         # (B/2)^k >= |a_{d-k} / a_d| (half that for k = d), squared
-        num = 4 ** (k - 1 if k == d else k) * gcoeffs[d - k].norm()
+        re, im = gcoeffs[d - k]
+        num = 4 ** (k - 1 if k == d else k) * (re * re + im * im)
         bound = max(bound, _ceil_root(-(-num // lead), 2 * k))
     return bound
+
+
+def _horner(cs, x: int, q: int) -> int:
+    """The integer polynomial cs (lowest degree first) at x, modulo q."""
+    out = 0
+    for c in reversed(cs):
+        out = (out * x + c) % q
+    return out
+
+
+def _newton(cs, x: int, q: int) -> int:
+    """Lift x, a simple root of the integer polynomial cs modulo p, to its
+    root modulo q = p^k; each step doubles the precision."""
+    ds = [k * c for k, c in enumerate(cs)][1:]
+    while v := _horner(cs, x, q):
+        x = (x - v * pow(_horner(ds, x, q), -1, q)) % q
+    return x
+
+
+def _split_prime(gcoeffs, lead: int):
+    """(p, iota, residues): the first prime p = 1 (mod 4) not dividing the
+    integer lead at which the polynomial, read modulo p with i -> iota
+    (iota^2 = -1), has only simple roots; residues lists those roots.
+    Everything is found by trying each residue."""
+    p = 1
+    while True:
+        p += 4
+        if lead % p == 0 or any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        iota = next(s for s in range(p) if (s * s + 1) % p == 0)
+        cs = [re + im * iota for re, im in gcoeffs]
+        ds = [k * c for k, c in enumerate(cs)][1:]
+        residues = [x for x in range(p) if _horner(cs, x, p) == 0]
+        if all(_horner(ds, x, p) for x in residues):
+            return p, iota, residues
+
+
+def _shortest(q: int, iota: int):
+    """A shortest nonzero vector (x, y) of the lattice
+    {(x, y) : x + y*iota = 0 (mod q)}, by Lagrange-Gauss reduction."""
+    a, b = (q, 0), (-iota % q, 1)
+    while True:
+        aa = a[0] * a[0] + a[1] * a[1]
+        m = (2 * (a[0] * b[0] + a[1] * b[1]) + aa) // (2 * aa)
+        b = (b[0] - m * a[0], b[1] - m * a[1])
+        if b[0] * b[0] + b[1] * b[1] >= aa:
+            return a
+        a, b = b, a
 
 
 def linear_roots(p: ExactPoly):
     """All roots of p lying in Q(i), with multiplicity, plus the rootless
     cofactor; the (x - root) factors times the cofactor reproduce p exactly.
 
-    Candidates are the unit multiples of num/den, for Gaussian-integer
-    divisors num of the trailing and den of the leading coefficient,
-    inside an exact root bound; they are tried in increasing norm until
-    no linear factor is left.  Roots are returned sorted by the (re, im)
-    key.
+    The squarefree part g of p, cleared to Gaussian-integer coefficients
+    with integer lead a, has a*r in Z[i] with |a*r| <= a*B for each root
+    r in Q(i) (B the Fujiwara bound).  Modulo a split prime p at which
+    g's roots are simple, every such root is one of g's roots mod p; each
+    of those is Newton-lifted to q = p^k > 4 a^2 B^2.  With i -> iota mod
+    q, the Gaussian integers that vanish mod q form the k-th power of a
+    prime ideal above p, a square lattice of side sqrt(q), so a*r is the
+    one point of its residue class within sqrt(q)/2 of 0: rounding in the
+    reduced basis u, i*u recovers it.  A candidate is kept only if it is
+    a root of p exactly.  Roots are returned sorted by the (re, im) key.
     """
     if p.is_zero():
         raise ZeroDivisionError("roots of the zero polynomial requested")
@@ -487,23 +351,26 @@ def linear_roots(p: ExactPoly):
         roots.append(ZERO)
         work = ExactPoly(work.coeffs[1:])
     if work.degree() >= 1:
-        gcoeffs = _to_gaussian_integer_poly(work)
-        bound = _root_bound(gcoeffs) ** 2
-        dens = gaussian_divisors(gcoeffs[-1])
-        max_num = bound * max(den.norm() for den in dens)
-        candidates = set()
-        for num in gaussian_divisors(gcoeffs[0], max_num):
-            for den in dens:
-                if num.norm() > bound * den.norm():
-                    continue
-                base = GaussRat(
-                    rational(num.a), rational(num.b)
-                ) / GaussRat(rational(den.a), rational(den.b))
-                for u in _UNITS:
-                    candidates.add(GaussRat(rational(u.a), rational(u.b)) * base)
-        for cand in sorted(candidates, key=lambda c: (c.norm(), c.lex_key())):
-            if work.degree() < 1:
-                break
+        g = squarefree_part(work).coeffs
+        a, nonzero = _cleared(g)
+        gcoeffs = [(0, 0)] * len(g)
+        for k, re, im in nonzero:
+            gcoeffs[k] = (re, im)
+        prime, iota, residues = _split_prime(gcoeffs, a)
+        q, limit = prime, 4 * (a * _root_bound(gcoeffs)) ** 2
+        while q <= limit:
+            q *= prime
+        iota = _newton([1, 0, 1], iota, q)
+        cs = [(re + im * iota) % q for re, im in gcoeffs]
+        ur, ui = _shortest(q, iota)
+        for x in residues:
+            t = a * _newton(cs, x, q) % q
+            # z = t - m*u with m = t/u rounded, u*conj(u) = q
+            mr = (2 * t * ur + q) // (2 * q)
+            mi = (-2 * t * ui + q) // (2 * q)
+            cand = GaussRat(
+                rational(t - mr * ur + mi * ui, a), rational(-mr * ui - mi * ur, a)
+            )
             while work.degree() >= 1 and work(cand).is_zero():
                 roots.append(cand)
                 work = work // ExactPoly((-cand, ONE))

@@ -28,12 +28,11 @@ from .errors import (
     SpectrumNotSplit,
     ZeroElement,
 )
-from .gaussian import I, ONE, ZERO, GaussRat
+from .gaussian import I, ONE, ZERO, GaussRat, _cleared
 from .jordan import jordan_chevalley
 from .liecore import LieContext, algebra_member, jn_matrix, kernel
 from .matrix import (
     ExactMatrix,
-    _cleared,
     char_poly,
     det,
     eigenspaces,
@@ -41,7 +40,6 @@ from .matrix import (
     is_nilpotent,
     solve_sparse,
 )
-from .polynomial import linear_roots
 from .semisimple import (
     _bilinear,
     _dual_basis,
@@ -300,25 +298,21 @@ def _stack_rows(mats):
 
 
 def chain_decomposition(triple: Sl2Triple) -> SymplecticChainData:
-    """Decompose C^{2n} into chains for the triple and fix head bases."""
+    """Decompose C^{2n} into chains for the triple and fix head bases.
+
+    The lowest weights of a triple are the integers 1 - d, d a chain
+    length <= 2n, so each candidate weight is tried and the empty
+    kernels are skipped."""
     x, h, y = triple.x, triple.h, triple.y
     n = x.rows // 2
-    weights, cofactor = linear_roots(char_poly(h))
-    if cofactor.degree() > 0:
-        raise SelfCheckFailed("weights must split over Q(i)")
-    if not all(w.im == 0 and int(w.re.denominator) == 1 for w in weights):
-        raise SelfCheckFailed("weights must be integers")
-    lowest = sorted(
-        {w for w in weights if w.re <= 0}, key=GaussRat.lex_key
-    )
     j = jn_matrix(n)
     counts: dict = {}
     heads: dict = {}
     gram: dict = {}
     parts = []
-    for w in lowest:
-        d = 1 - int(w.re)
-        space = kernel(_stack_rows([y, h.plus_scalar(-w)]))
+    for w in range(1 - 2 * n, 1):
+        d = 1 - w
+        space = kernel(_stack_rows([y, h.plus_scalar(GaussRat.from_int(-w))]))
         if not space:
             continue
         form = _bilinear(j * x.power(d - 1))

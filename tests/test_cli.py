@@ -84,6 +84,28 @@ def test_witness_verify_fresh_process(tmp_path):
     assert json.loads(run.stdout)["verified"] is True
 
 
+def test_witness_with_64_bit_prime_eigenvalues_is_fast(tmp_path):
+    """diag(a, -a) with a = (2^64 - 59)(2^64 - 83), a product of two
+    primes: the eigenvalues are found without factoring a, so witness
+    answers well inside the timeout (a factoring root search would take
+    hours)."""
+    a = (2**64 - 59) * (2**64 - 83)
+    mfile = _matrix_file(tmp_path, "h.json", ExactMatrix.diagonal([gr(a), gr(-a)]))
+    cert_file = str(tmp_path / "cert.json")
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", "witness", "--ctx", SL2_CTX,
+         "--matrix", mfile, "--out", cert_file],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", "verify", cert_file],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0
+    assert json.loads(run.stdout)["verified"] is True
+
+
 def test_verify_tampered_certificate_exit_two(tmp_path, capsys):
     mfile = _matrix_file(tmp_path, "h.json", ExactMatrix.diagonal([1, -1]))
     cert_file = str(tmp_path / "cert.json")

@@ -1,15 +1,13 @@
 """Polynomial gcd, squarefree structure, and Q(i) root extraction."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adjreal.gaussian import GaussRat, I, ONE, ZERO, gr, rational
+from adjreal.gaussian import GaussRat, I, ONE, ZERO, _cleared, gr, rational
 from adjreal.polynomial import (
-    _UNITS,
     ExactPoly,
-    Gint,
-    _to_gaussian_integer_poly,
-    gaussian_divisors,
     linear_roots,
     poly_gcd,
     poly_xgcd,
@@ -139,25 +137,45 @@ def test_linear_roots_reexpansion_on_split_polys(root_ints):
     assert sorted(found, key=GaussRat.lex_key) == sorted(roots, key=GaussRat.lex_key)
 
 
+def _box_divisors(a: int, b: int):
+    """Every divisor x + y*i of a + b*i != 0 in Z[i], one per unit class
+    (x > 0, y >= 0): a box search over the norms m dividing a^2 + b^2,
+    and over the points of norm m in the box 0 < x <= sqrt(m)."""
+    n = a * a + b * b
+    norms = set()
+    for m in range(1, math.isqrt(n) + 1):
+        if n % m == 0:
+            norms |= {m, n // m}
+    out = []
+    for m in sorted(norms):
+        for x in range(1, math.isqrt(m) + 1):
+            y = math.isqrt(m - x * x)
+            # (a + b*i) / (x + y*i) = (a + b*i)(x - y*i) / m
+            if x * x + y * y == m and (a * x + b * y) % m == 0 and (b * x - a * y) % m == 0:
+                out.append((x, y))
+    return out
+
+
 def _full_divisor_linear_roots(p: ExactPoly):
     """Reference root search: every unit multiple of num/den over all
     Gaussian-integer divisors num of the trailing and den of the leading
-    coefficient, with no bound and no early stop."""
+    coefficient (cleared to Z[i], integer content divided out), with no
+    bound and no early stop."""
     roots = []
     work = p
     while work.degree() >= 1 and work[0].is_zero():
         roots.append(ZERO)
         work = ExactPoly(work.coeffs[1:])
     if work.degree() >= 1:
-        gcoeffs = _to_gaussian_integer_poly(work)
+        _, nonzero = _cleared(work.coeffs)
+        content = math.gcd(*(c for _, re, im in nonzero for c in (re, im)))
+        ints = {k: (re // content, im // content) for k, re, im in nonzero}
         candidates = set()
-        for num in gaussian_divisors(gcoeffs[0]):
-            for den in gaussian_divisors(gcoeffs[-1]):
-                base = GaussRat(rational(num.a), rational(num.b)) / GaussRat(
-                    rational(den.a), rational(den.b)
-                )
-                for u in _UNITS:
-                    candidates.add(GaussRat(rational(u.a), rational(u.b)) * base)
+        for num in _box_divisors(*ints[0]):
+            for den in _box_divisors(*ints[work.degree()]):
+                base = GaussRat(*num) / GaussRat(*den)
+                for u in (gr(1), I, gr(-1), -I):
+                    candidates.add(u * base)
         for cand in sorted(candidates, key=GaussRat.lex_key):
             while work.degree() >= 1 and work(cand).is_zero():
                 roots.append(cand)
@@ -211,15 +229,6 @@ def test_bounded_root_search_matches_full_divisor_search_random(roots, cofactor,
         [GaussRat(rational(a, d), rational(b, d)) for a, b, d in roots]
     ) * cofactor.scale(lead)
     assert linear_roots(p) == _full_divisor_linear_roots(p)
-
-
-@given(st.integers(-400, 400), st.integers(-400, 400), st.integers(1, 10**6))
-@settings(max_examples=80, deadline=None)
-def test_pruned_divisors_are_the_full_list_filtered_by_norm(a, b, m):
-    z = Gint(a, b) if a or b else Gint(1, 0)
-    full = gaussian_divisors(z)
-    assert gaussian_divisors(z, m) == [d for d in full if d.norm() <= m]
-    assert gaussian_divisors(z, z.norm()) == full
 
 
 def test_poly_json_round_trip():

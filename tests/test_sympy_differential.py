@@ -6,7 +6,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from sympy import QQ, QQ_I, Symbol  # noqa: E402
+from sympy import QQ, QQ_I, Poly, Symbol  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.matrices.normalforms import (  # noqa: E402
     invariant_factors as sympy_invariant_factors,
@@ -28,7 +28,7 @@ from adjreal.matrix import (  # noqa: E402
     rank,
 )
 from adjreal.oracle import rcf_invariant_factors  # noqa: E402
-from adjreal.polynomial import ExactPoly, squarefree_part  # noqa: E402
+from adjreal.polynomial import ExactPoly, linear_roots, squarefree_part  # noqa: E402
 from adjreal.symplectic import (  # noqa: E402
     chain_decomposition,
     nilpotent_from_partition,
@@ -113,6 +113,39 @@ def test_rref_matches_sympy(m):
         rows.append(row)
     rows.extend([ZERO] * m.cols for _ in range(m.rows - len(rows)))
     assert rows == [[_from_qqi(c) for c in row] for row in expected.to_list()]
+
+
+# Gaussian rationals with up to 8-bit parts and denominators up to 12
+GAUSS_RATS = st.builds(
+    lambda a, b, d: GaussRat(rational(a, d), rational(b, d)),
+    st.integers(-200, 200), st.integers(-200, 200), st.integers(1, 12),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(GAUSS_RATS, max_size=4),
+    st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=3),
+    GAUSS_RATS.filter(bool),
+)
+def test_linear_roots_match_sympy_linear_factors(roots, cofactor, lead):
+    """The roots of a non-monic product, with multiplicity, are those of
+    sympy's linear factors over QQ_I, and the cofactor is its leading
+    coefficient times the other factors."""
+    cofactor = ExactPoly(cofactor)
+    p = ExactPoly.from_roots(roots) * (cofactor if cofactor.coeffs else ExactPoly.one()).scale(lead)
+    coeff, factors = Poly.from_list(
+        [_to_qqi(c) for c in reversed(p.coeffs)], Symbol("t"), domain=QQ_I
+    ).factor_list()
+    expected, rest = [], ExactPoly.constant(_from_qqi(QQ_I.from_sympy(coeff)))
+    for f, mult in factors:
+        g = ExactPoly([_from_qqi(c) for c in reversed(f.rep.to_list())])
+        for _ in range(mult):
+            if g.degree() == 1:
+                expected.append(-g[0] / g[1])
+            else:
+                rest = rest * g
+    assert linear_roots(p) == (sorted(expected, key=GaussRat.lex_key), rest)
 
 
 @settings(max_examples=60, deadline=None)

@@ -53,7 +53,6 @@ from .symplectic import (
     mixed_from_partition,
     nilpotent_from_partition,
     reverse_full,
-    sl2_triple,
     symplectic_partitions,
 )
 
@@ -363,8 +362,7 @@ def criterion_5_nilpotent_chains(seed: int) -> CriterionResult:
                 # sl2-triple; its reverser is trivially the identity
                 continue
             x = nilpotent_from_partition(parts)
-            triple = sl2_triple(x)
-            cd = chain_decomposition(triple)
+            cd = chain_decomposition(x)
             _check(
                 sorted(cd.partition(), reverse=True) == sorted(parts, reverse=True),
                 f"{parts}: partition mismatch {cd.partition()}",

@@ -109,7 +109,7 @@ def _cmd_sl2(args) -> int:
 
 def _cmd_chains(args) -> int:
     mat = ExactMatrix.from_json(_load_json_arg(args.matrix))
-    _emit(chain_decomposition(sl2_triple(mat)).to_json(), args.out)
+    _emit(chain_decomposition(mat).to_json(), args.out)
     return 0
 
 

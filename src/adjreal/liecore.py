@@ -104,26 +104,27 @@ def algebra_member(x: ExactMatrix, ctx: LieContext) -> bool:
 def group_failure(g: ExactMatrix, ctx: LieContext) -> str | None:
     """The first group equation g violates, named, or None: det g != 0,
     then det g = 1 for SL/PSL/SO, g^t g = I for O/SO, g^t J g = J for
-    Sp/PSp (PSL/PSp test the matrix representative in SL/Sp)."""
+    Sp/PSp (PSL/PSp test the matrix representative in SL/Sp).
+
+    g^t g = I and g^t J g = J each imply det g = +-1, so for O/SO and
+    Sp/PSp the determinant is computed only to name a failure or, for SO,
+    to test det g = 1."""
     size = ctx.matrix_size
     if not g.is_square() or g.rows != size:
         return f"GroupMembership(size != {size})"
-    d = det(g)
-    if d.is_zero():
-        return "Invertibility(det g = 0)"
-    if ctx.group == "GL":
-        return None
-    if ctx.group in ("SL", "PSL"):
-        return None if d == 1 else "GroupMembership(det g != 1)"
+    if ctx.group in ("GL", "SL", "PSL"):
+        d = det(g)
+        if d.is_zero():
+            return "Invertibility(det g = 0)"
+        return None if ctx.group == "GL" or d == 1 else "GroupMembership(det g != 1)"
     if ctx.group in ("O", "SO"):
-        if not (g.transpose() * g == ExactMatrix.identity(size)):
-            return "GroupMembership(g^t g != I)"
-        if ctx.group == "SO" and d != 1:
-            return "GroupMembership(det g != 1)"
-        return None
-    j = jn_matrix(ctx.n)
-    if not (g.transpose() * j * g == j):
-        return "GroupMembership(g^t J g != J)"
+        form, failure = ExactMatrix.identity(size), "GroupMembership(g^t g != I)"
+    else:
+        form, failure = jn_matrix(ctx.n), "GroupMembership(g^t J g != J)"
+    if g.transpose() * form * g != form:
+        return "Invertibility(det g = 0)" if det(g).is_zero() else failure
+    if ctx.group == "SO" and det(g) != 1:
+        return "GroupMembership(det g != 1)"
     return None
 
 

@@ -2,14 +2,13 @@
 
 Everything here is deterministic.  Solutions, kernel bases, ranks and
 inverses are read off the reduced row echelon form, which is unique.
-One engine computes it, for dense matrices and for the mostly-zero
-systems of ``solve_sparse`` alike, and builds the Krylov echelons of
-``oracle`` a row at a time: sparse fraction-free Gauss-Jordan
-elimination over the Gaussian integers.  Each row is cleared of its
-denominators once (for ``inverse``, each column), every pivot equals
-one common denominator, each update divides exactly in Z[i] by the
-previous one, and each entry that is read is divided back once, so the
-values are the same unique ones.  Products, matrix-vector products and
+One engine computes it, and builds the Krylov echelons of ``oracle``
+a row at a time: sparse fraction-free Gauss-Jordan elimination over the
+Gaussian integers.  Each row is cleared of its denominators once (for
+``inverse``, each column), every pivot equals one common denominator,
+each update divides exactly in Z[i] by the previous one, and each entry
+that is read is divided back once, so the values are the same unique
+ones.  Products, matrix-vector products and
 determinants also run over Gaussian integers: rows (and, for a
 product's right factor, columns) are cleared of their denominators, the
 sums are taken in Python ints, and the result is divided back once per
@@ -505,18 +504,6 @@ def solve_linear(a: ExactMatrix, b):
     n = a.cols
     echelon = _rref([_cleared_dict(a.row_list(i) + [v]) for i, v in enumerate(b)])
     return _particular(echelon, n), _kernel_from_rref(echelon, n)
-
-
-def solve_sparse(rows, n: int):
-    """Solve the system whose rows are {column: (re, im)} maps of their
-    nonzero Gaussian-integer entries, columns 0..n-1 holding the unknowns
-    and column n the right-hand side.
-
-    Returns the particular solution ``solve_linear`` gives on the same
-    system (free variables set to zero), as a list.  Raises
-    InconsistentSystem when no solution exists.
-    """
-    return _particular(_rref(rows), n)
 
 
 def kernel(a: ExactMatrix):

@@ -29,7 +29,7 @@ from .errors import (
     SpectrumNotSplit,
 )
 from .gaussian import GaussRat, ONE, ZERO, _cleared, rational
-from .liecore import LieContext, algebra_member, group_member, reverser_linear_space
+from .liecore import LieContext, algebra_member, reverser_linear_space
 from .matrix import (
     ExactMatrix,
     _Echelon,
@@ -114,10 +114,11 @@ def _poly_on_vector(p: ExactPoly, cleared, v):
     ]
 
 
-def _krylov_echelon(cleared, v):
+def _krylov_echelon(cleared, v, base: _Echelon | None = None):
     """(echelon, p) for A = M / d, cleared = (d, columns of M): the
     fraction-free echelon of v, Av, ..., A^(k-1) v and the minimal monic p
-    of degree k with p(A) v = 0.
+    of degree k with p(A) v = 0, or, given the echelon ``base`` of an
+    A-invariant space S, with p(A) v in S (``base`` is left as it is).
 
     Rows are Gaussian-integer {column: (re, im)} maps; A^i v is kept as
     M^i V / (f d^i) with v = V / f, and its row carries the scale f d^i
@@ -128,6 +129,9 @@ def _krylov_echelon(cleared, v):
     d, columns = cleared
     n = len(columns)
     echelon = _Echelon()
+    if base is not None:
+        echelon.pivots = {c: dict(row) for c, row in base.pivots.items()}
+        echelon.den = base.den
     scale, vec = _cleared(v)
     w = {j: (re, im) for j, re, im in vec}
     for k in itertools.count():
@@ -456,11 +460,9 @@ def search_reverser(
                 checked += 1
                 if ctx.group in ("SL", "PSL") and d != 1:
                     continue
-                r = build()
-                if group_member(r, ctx):
-                    cert = ReverserCertificate(x, r, ctx, True)
-                    if verify_certificate(cert).ok:
-                        return SearchOutcome(True, cert, height, checked, "found")
+                cert = ReverserCertificate(x, build(), ctx, True)
+                if verify_certificate(cert).ok:
+                    return SearchOutcome(True, cert, height, checked, "found")
             return SearchOutcome(
                 False, None, height, checked, "exhausted(structured)"
             )
@@ -481,11 +483,7 @@ def search_reverser(
         for c, b in zip(combo, basis):
             if not c.is_zero():
                 r = r + b.scale(c)
-        if r.is_zero() or det(r).is_zero():
-            continue
         if require_involution and not (r * r == ExactMatrix.identity(n)):
-            continue
-        if not group_member(r, ctx):
             continue
         cert = ReverserCertificate(x, r, ctx, require_involution)
         if verify_certificate(cert).ok:

@@ -1,13 +1,14 @@
 """Reversers for arbitrary elements of sp(n, C).
 
-Pipeline: split X = X_s + X_n (Jordan-Chevalley); complete X_n to an
-sl2-triple chosen inside the centralizer of X_s; decompose C^{2n} into
-chains X^l v_j^d; build sigma acting by (-1)^l (odd chain length) or
-(-1)^l i (even length) along each chain, which negates X_n and fixes X_s;
-restrict X_s to the chain-head spaces, reverse each restriction relative
-to the induced form (v, u)_d = <v, X^{d-1} u>, and embed the result
-diagonally along levels to get tau, which negates X_s and fixes X_n.
-The product sigma * tau then conjugates X to -X inside Sp(n, C).
+Pipeline: split X = X_s + X_n (Jordan-Chevalley); build a basis of
+C^{2n} made of chains X_n^l v_j^d adapted to the symplectic form, with
+heads spanning X_s-invariant spaces; build sigma acting by (-1)^l (odd
+chain length) or (-1)^l i (even length) along each chain, which negates
+X_n and fixes X_s; restrict X_s to the chain-head spaces, reverse each
+restriction relative to the induced form (v, u)_d = <v, X^{d-1} u>, and
+embed the result diagonally along levels to get tau, which negates X_s
+and fixes X_n.  The product sigma * tau then conjugates X to -X inside
+Sp(n, C).
 
 Everything is exact over Q(i); only the tau branch can fail, when the
 semisimple part has eigenvalues outside Q(i).
@@ -15,7 +16,6 @@ semisimple part has eigenvalues outside Q(i).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .certificates import ReverserCertificate, verify_certificate
@@ -28,18 +28,20 @@ from .errors import (
     SpectrumNotSplit,
     ZeroElement,
 )
-from .gaussian import I, ONE, ZERO, GaussRat, _cleared
+from .gaussian import I, ONE, ZERO, GaussRat, rational
 from .jordan import jordan_chevalley
 from .liecore import LieContext, algebra_member, jn_matrix, kernel
 from .matrix import (
     ExactMatrix,
+    _cleared_dict,
+    _Echelon,
     char_poly,
     det,
     eigenspaces,
     inverse,
     is_nilpotent,
-    solve_sparse,
 )
+from .oracle import _cleared_columns, _krylov_echelon, _poly_on_vector
 from .semisimple import (
     _bilinear,
     _dual_basis,
@@ -63,31 +65,18 @@ def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a * b - b * a
 
 
-def _sp_basis_entries(n: int):
-    """The basis of sp(n) behind ``sp_basis``, each element as its nonzero
-    entries {(row, col): (re, im)}: one or two unit entries (+-1, 0)."""
-    out = []
-    for p in range(n):
-        for q in range(n):
-            out.append({(p, q): (1, 0), (n + q, n + p): (-1, 0)})
-    for p in range(n):
-        for q in range(p, n):
-            out.append({(p, n + q): (1, 0), (q, n + p): (1, 0)})
-    for p in range(n):
-        for q in range(p, n):
-            out.append({(n + p, q): (1, 0), (n + q, p): (1, 0)})
-    return out
-
-
 def sp_basis(n: int):
     """Deterministic basis of sp(n): blocks [[A, B], [C, -A^t]] with B, C
     symmetric."""
     size = 2 * n
+    units = [((p, q), (n + q, n + p), -ONE) for p in range(n) for q in range(n)]
+    units += [((p, n + q), (q, n + p), ONE) for p in range(n) for q in range(p, n)]
+    units += [((n + p, q), (n + q, p), ONE) for p in range(n) for q in range(p, n)]
     out = []
-    for entries in _sp_basis_entries(n):
+    for (i, j), (k, l), c in units:
         flat = [ZERO] * (size * size)
-        for (i, j), v in entries.items():
-            flat[i * size + j] = GaussRat(*v)
+        flat[k * size + l] = c
+        flat[i * size + j] = ONE
         out.append(ExactMatrix(size, size, flat))
     return out
 
@@ -101,6 +90,9 @@ class Sl2Triple:
     y: ExactMatrix
 
     def validate(self):
+        ctx = LieContext("sp", "Sp", self.x.rows // 2)
+        if not (algebra_member(self.h, ctx) and algebra_member(self.y, ctx)):
+            raise SelfCheckFailed("H or Y is not in sp")
         if _commutator(self.h, self.x) != self.x.scale(2):
             raise SelfCheckFailed("[H,X] != 2X")
         if _commutator(self.h, self.y) != self.y.scale(-2):
@@ -112,117 +104,6 @@ class Sl2Triple:
         return {"x": self.x.to_json(), "h": self.h.to_json(), "y": self.y.to_json()}
 
 
-# Sparse matrices in the sl2 system are {(row, col): (re, im)} maps of
-# their nonzero Gaussian-integer entries; a fixed operand M is indexed by
-# row and by column.
-
-
-def _cleared_indexed(m: ExactMatrix):
-    """(d, (by_row, by_col)) with m = M / d for a Gaussian-integer M whose
-    nonzero entries (col, re, im) are listed per row, and (row, re, im)
-    per column."""
-    d, nonzero = _cleared(m.entries)
-    by_row: dict = {}
-    by_col: dict = {}
-    for k, re, im in nonzero:
-        i, j = divmod(k, m.cols)
-        by_row.setdefault(i, []).append((j, re, im))
-        by_col.setdefault(j, []).append((i, re, im))
-    return d, (by_row, by_col)
-
-
-def _bracket(a: dict, m) -> dict:
-    """[A, M] = AM - MA over Z[i] for sparse A and an indexed operand M."""
-    by_row, by_col = m
-    out: dict = {}
-    for (i, j), (vr, vi) in a.items():
-        for k, wr, wi in by_row.get(j, ()):
-            yr, yi = out.get((i, k), (0, 0))
-            out[i, k] = (yr + vr * wr - vi * wi, yi + vr * wi + vi * wr)
-        for k, wr, wi in by_col.get(i, ()):
-            yr, yi = out.get((k, j), (0, 0))
-            out[k, j] = (yr - wr * vr + wi * vi, yi - wr * vi - wi * vr)
-    return {ij: z for ij, z in out.items() if z[0] or z[1]}
-
-
-def _solve_in_sp(x: ExactMatrix, commute_with) -> ExactMatrix:
-    """Particular solution W = sum_k c_k b_k over the basis of sp(n) of
-    [[W,X],X] = -2X and, for each S in ``commute_with``, [[W,X],S] = 0
-    and [W,S] = 0.
-
-    With X = M/d and S = N/e over Z[i], the blocks are d^2 [[W,X],X] =
-    [[W,M],M] = -2dM, [[W,M],N] = 0 and [W,N] = 0: one row per entry and
-    one column per basis element, each row divided by the gcd of its
-    integer parts.  Free coefficients are zero, as with ``solve_linear``
-    on the dense system.
-    """
-    size = x.rows
-    block = size * size
-    d, xi = _cleared_indexed(x)
-    others = [_cleared_indexed(s)[1] for s in commute_with]
-    basis = _sp_basis_entries(size // 2)
-    rows: dict = {}
-    for k, b in enumerate(basis):
-        bx = _bracket(b, xi)
-        blocks = [_bracket(bx, xi)]
-        for s in others:
-            blocks += [_bracket(bx, s), _bracket(b, s)]
-        for t, m in enumerate(blocks):
-            for (i, j), z in m.items():
-                rows.setdefault(t * block + i * size + j, {})[k] = z
-    rhs = len(basis)
-    for i, entries in xi[0].items():
-        for j, re, im in entries:
-            rows.setdefault(i * size + j, {})[rhs] = (-2 * d * re, -2 * d * im)
-    for row in rows.values():
-        g = math.gcd(*(part for z in row.values() for part in z))
-        if g > 1:
-            for c, (re, im) in row.items():
-                row[c] = (re // g, im // g)
-    coeffs = solve_sparse(list(rows.values()), rhs)
-    flat = [ZERO] * block
-    for c, b in zip(coeffs, basis):
-        if not c.is_zero():
-            for (i, j), (re, _) in b.items():
-                flat[i * size + j] = flat[i * size + j] + c * re
-    return ExactMatrix(size, size, flat)
-
-
-def sl2_triple(x: ExactMatrix, commute_with=()) -> Sl2Triple:
-    """Complete a nonzero nilpotent X in sp(n) to an sl2-triple.
-
-    H = [X, W] for the W of ``_solve_in_sp``: it lies in the image of
-    ad(X) restricted to sp (intersected with the centralizer of every
-    matrix in ``commute_with``) and [H, X] = 2X, which guarantees a
-    completing Y.  Y is read off W: [X, W] = H has ad-H weight 0 and X
-    weight 2, so the weight -2 component of W satisfies [X, Y] = H and
-    [H, Y] = -2Y (and commutes with each S, as W does); it is the only
-    such Y, because the centralizer of X has weights >= 0.  In an eigenbasis P of H with
-    integer weights lam_i, Y = P M' P^-1, where M' keeps the entries
-    (i, j) of P^-1 W P with lam_i - lam_j = -2.
-    """
-    ctx = _sp_context(x)
-    if x.is_zero():
-        raise ZeroElement("the zero element generates no sl2-triple")
-    if not is_nilpotent(x):
-        raise NotNilpotent("sl2-triples require a nilpotent element")
-    w = _solve_in_sp(x, commute_with)
-    h = _commutator(x, w)
-    spaces = eigenspaces(h, char_poly(h))
-    weights = [lam.re for lam, vecs in spaces for _ in vecs]
-    p = ExactMatrix.from_columns([v for _, vecs in spaces for v in vecs])
-    p_inv = inverse(p)
-    m = p_inv * w * p
-    size = 2 * ctx.n
-    y = p * ExactMatrix(size, size, [
-        m[i, j] if weights[i] - weights[j] == -2 else ZERO
-        for i in range(size) for j in range(size)
-    ]) * p_inv
-    triple = Sl2Triple(x, h, y)
-    triple.validate()
-    return triple
-
-
 # ---------------------------------------------------------------------------
 # chain data
 # ---------------------------------------------------------------------------
@@ -230,23 +111,29 @@ def sl2_triple(x: ExactMatrix, commute_with=()) -> Sl2Triple:
 
 @dataclass(frozen=True)
 class SymplecticChainData:
-    """Chain bookkeeping for a triple {X, H, Y} in sp(n).
+    """A chain basis of C^{2n} for a nilpotent X in sp(n).
 
     parts: distinct chain lengths d, descending; counts[d] = t_d;
-    heads[d]: lowest-weight vectors (weight 1 - d, killed by Y), already
-    orthogonalized for the form (v, u)_d = <v, X^{d-1} u> (symplectic
-    pairs for odd d, diagonal for even d); gram[d]: the t_d x t_d Gram
-    matrix of that form on the heads; basis: columns X^l v_j^d ordered
-    by part (descending), then level l, then head index j.
+    heads[d]: the chain heads v (X^d v = 0), orthogonalized for the form
+    (v, u)_d = <v, X^{d-1} u> (symplectic pairs for odd d, diagonal for
+    even d); gram[d]: the t_d x t_d Gram matrix of that form on the
+    heads; basis: columns X^l v_j^d ordered by part (descending), then
+    level l, then head index j; basis_inverse: its inverse.
+
+    Distinct chains are orthogonal and <X^a u_i, X^c u_k> = 0 for
+    a + c != d - 1 within a part, so B^t J B = Q with
+    Q[(d, a, i), (d, d - 1 - a, k)] = (-1)^a gram[d][i, k] and zero
+    elsewhere, and B^-1 = Q^-1 B^t J.
     """
 
     n: int
-    triple: Sl2Triple
+    x: ExactMatrix
     parts: tuple
     counts: dict
     heads: dict
     gram: dict
     basis: ExactMatrix
+    basis_inverse: ExactMatrix
 
     def partition(self):
         """Chain lengths with multiplicity: the partition of 2n."""
@@ -263,6 +150,20 @@ class SymplecticChainData:
             off += dd * self.counts[dd]
         raise KeyError(d)
 
+    def form(self) -> ExactMatrix:
+        """Q = B^t J B, read off the Gram matrices."""
+        size = 2 * self.n
+        flat = [ZERO] * (size * size)
+        for d in self.parts:
+            g, t = self.gram[d], self.counts[d]
+            for a in range(d):
+                row, col = self.level_offset(d, a), self.level_offset(d, d - 1 - a)
+                sign = -ONE if a % 2 else ONE
+                for i in range(t):
+                    for k in range(t):
+                        flat[(row + i) * size + col + k] = sign * g[i, k]
+        return ExactMatrix(size, size, flat)
+
     def validate(self):
         if sum(self.partition()) != 2 * self.n:
             raise SelfCheckFailed("chain lengths do not add up to 2n")
@@ -275,6 +176,9 @@ class SymplecticChainData:
                 raise SelfCheckFailed("odd chain length with odd chain count")
             if det(g).is_zero():
                 raise SelfCheckFailed("degenerate chain form")
+        b = self.basis
+        if b.transpose() * jn_matrix(self.n) * b != self.form():
+            raise SelfCheckFailed("chain basis does not carry the chain form")
 
     def to_json(self):
         return {
@@ -290,63 +194,170 @@ class SymplecticChainData:
         }
 
 
-def _stack_rows(mats):
-    rows = []
-    for m in mats:
-        rows.extend(m.to_lists())
-    return ExactMatrix.from_rows(rows)
+def _chain_heads(vectors, images, xs: ExactMatrix):
+    """Heads v whose images X^{d-1} v are independent and span the span of
+    ``images``, the X^{d-1}-images of ``vectors``, and which themselves
+    span an X_s-invariant space.
 
-
-def chain_decomposition(triple: Sl2Triple) -> SymplecticChainData:
-    """Decompose C^{2n} into chains for the triple and fix head bases.
-
-    The lowest weights of a triple are the integers 1 - d, d a chain
-    length <= 2n, so each candidate weight is tried and the empty
-    kernels are skipped."""
-    x, h, y = triple.x, triple.h, triple.y
-    n = x.rows // 2
-    j = jn_matrix(n)
-    counts: dict = {}
-    heads: dict = {}
-    gram: dict = {}
-    parts = []
-    for w in range(1 - 2 * n, 1):
-        d = 1 - w
-        space = kernel(_stack_rows([y, h.plus_scalar(GaussRat.from_int(-w))]))
-        if not space:
+    For each v whose image y is new, with a the minimal polynomial of v
+    under X_s and q the least monic polynomial with q(X_s) y in the span
+    S of the images chosen so far, the heads X_s^k (a/q)(X_s) v, k < deg q,
+    are added.  X_s is semisimple, so a is squarefree, q and a/q are
+    coprime, these images are independent modulo S, and y joins S.  With
+    X_s = 0 this is the greedy choice of the vectors with new images.
+    """
+    cleared = _cleared_columns(xs)
+    chosen = _Echelon()  # the images of the heads so far
+    heads = []
+    for v, y in zip(vectors, images):
+        if not chosen.reduce(_cleared_dict(y)):
             continue
-        form = _bilinear(j * x.power(d - 1))
-        if d % 2:
-            firsts, seconds = _symplectic_pair_basis(space, form, ONE)
-            vecs = []
-            for p, q in zip(firsts, seconds):
-                vecs.extend([p, q])
+        a = _krylov_echelon(cleared, v)[1]
+        q = _krylov_echelon(cleared, y, chosen)[1]
+        v = _poly_on_vector(a // q, cleared, v)
+        y = _poly_on_vector(a // q, cleared, y)
+        for _ in range(q.degree()):
+            row = chosen.reduce(_cleared_dict(y))
+            if not row:
+                raise SelfCheckFailed("chain head images are dependent")
+            chosen.add(row)
+            heads.append(v)
+            v, y = xs.mul_vector(v), xs.mul_vector(y)
+    return heads
+
+
+def _adapted_levels(levels, j: ExactMatrix):
+    """Levels X^l U, l < d, of heads U = [u_1 ... u_t] with X^d U = 0,
+    made adapted to the form: (levels, gram) with <u_i, X^k u_j> = 0 for
+    k < d - 1 and gram = U^t J X^{d-1} U symplectic pairs (odd d) or
+    diagonal (even d).
+
+    G = U^t J X^{d-1} U is nondegenerate.  For k = d - 2, ..., 0 the heads
+    become U - 1/2 X^{d-1-k} U G^-1 M_k with M_k = U^t J X^k U: this
+    clears M_k and leaves G and M_{k+1}, ..., M_{d-2} as they are.  A
+    change of heads U -> U T then brings G to normal form.
+    """
+    d = len(levels)
+
+    def grams(k):
+        return levels[0].transpose() * j * levels[k]
+
+    minus_half_g_inv = inverse(grams(d - 1)).scale(GaussRat(rational(-1, 2)))
+    for k in range(d - 2, -1, -1):
+        c = minus_half_g_inv * grams(k)
+        if c.is_zero():
+            continue
+        shift = d - 1 - k
+        levels = [
+            lvl + levels[l + shift] * c if l + shift < d else lvl
+            for l, lvl in enumerate(levels)
+        ]
+    g = grams(d - 1)
+    pairing = _bilinear(g)
+    units = ExactMatrix.identity(g.rows).to_lists()
+    if d % 2:
+        firsts, seconds = _symplectic_pair_basis(units, pairing, ONE)
+        coords = [w for pair in zip(firsts, seconds) for w in pair]
+    else:
+        coords = _orthogonalize_symmetric(units, pairing)
+    t = ExactMatrix.from_columns(coords)
+    return [lvl * t for lvl in levels], t.transpose() * g * t
+
+
+def chain_decomposition(
+    x: ExactMatrix, semisimple: ExactMatrix | None = None
+) -> SymplecticChainData:
+    """A chain basis of C^{2n} for a nonzero nilpotent X in sp(n), adapted
+    to the symplectic form; with a semisimple X_s in sp(n) commuting with
+    X, every head space is X_s-invariant.
+
+    U starts as C^{2n}.  For the longest chain length d in U, heads in U
+    with independent images under X^{d-1} that span X^{d-1} U
+    (``_chain_heads``) are adapted to the form (``_adapted_levels``);
+    their chains span a nondegenerate X- and X_s-invariant W, and U
+    becomes the rest, U ∩ W^⊥, which holds the shorter chains.  No
+    eigenvalue of X_s is needed.
+    """
+    ctx = _sp_context(x)
+    if x.is_zero():
+        raise ZeroElement("the zero element generates no sl2-triple")
+    if not is_nilpotent(x):
+        raise NotNilpotent("sl2-triples require a nilpotent element")
+    size = x.rows
+    xs = ExactMatrix.zeros(size) if semisimple is None else semisimple
+    if not _commutator(xs, x).is_zero():
+        raise NotInCentralizer("does not commute with the nilpotent")
+    j = jn_matrix(ctx.n)
+    parts, counts, heads, gram = [], {}, {}, {}
+    columns, inverse_rows = [], []
+    while len(columns) < size:
+        if columns:
+            space = kernel(ExactMatrix.from_rows([j.mul_vector(w) for w in columns]))
         else:
-            vecs = _orthogonalize_symmetric(space, form)
+            space = ExactMatrix.identity(size).to_lists()
+        powers = [ExactMatrix.from_columns(space)]
+        while not powers[-1].is_zero():
+            powers.append(x * powers[-1])
+        d = len(powers) - 1
+        images = [powers[d - 1].column(k) for k in range(len(space))]
+        u = ExactMatrix.from_columns(_chain_heads(space, images, xs))
+        levels = [u]
+        for _ in range(d - 1):
+            levels.append(x * levels[-1])
+        levels, g = _adapted_levels(levels, j)
+        g_inv = inverse(g)
+        for level in range(d):
+            columns.extend(levels[level].transpose().to_lists())
+            sign = -ONE if (d - 1 - level) % 2 else ONE
+            rows = g_inv.scale(sign) * levels[d - 1 - level].transpose() * j
+            inverse_rows.extend(rows.to_lists())
         parts.append(d)
-        counts[d] = len(vecs)
-        heads[d] = vecs
-        gram[d] = ExactMatrix.from_rows(
-            [[form(u, v) for v in vecs] for u in vecs]
-        )
-    parts.sort(reverse=True)
-    columns = []
-    for d in parts:
-        level = [list(v) for v in heads[d]]
-        for _ in range(d):
-            columns.extend(level)
-            level = [x.mul_vector(v) for v in level]
+        counts[d] = u.cols
+        heads[d] = levels[0].transpose().to_lists()
+        gram[d] = g
     cd = SymplecticChainData(
-        n=n,
-        triple=triple,
+        n=ctx.n,
+        x=x,
         parts=tuple(parts),
         counts=counts,
         heads=heads,
         gram=gram,
         basis=ExactMatrix.from_columns(columns),
+        basis_inverse=ExactMatrix.from_rows(inverse_rows),
     )
     cd.validate()
     return cd
+
+
+def sl2_triple(x: ExactMatrix, semisimple: ExactMatrix | None = None) -> Sl2Triple:
+    """Complete a nonzero nilpotent X in sp(n) to an sl2-triple, read off
+    the chain basis B of ``chain_decomposition(x, semisimple)``.
+
+    A head v of a length-d chain has the lowest weight 1 - d, so H acts by
+    2l + 1 - d on X^l v, and Y maps X^l v to l(d - l) X^{l-1} v:
+    H = B D B^-1 and Y = B N B^-1.  Both act level-diagonally on chains,
+    so they commute with X_s when the head spaces are X_s-invariant.
+    """
+    cd = chain_decomposition(x, semisimple)
+    size = x.rows
+    weights = []
+    lower = [ZERO] * (size * size)
+    for d in cd.parts:
+        t = cd.counts[d]
+        for level in range(d):
+            weights.extend([GaussRat.from_int(2 * level + 1 - d)] * t)
+            if level:
+                off = cd.level_offset(d, level)
+                for k in range(off, off + t):
+                    lower[(k - t) * size + k] = GaussRat.from_int(level * (d - level))
+    b, b_inv = cd.basis, cd.basis_inverse
+    triple = Sl2Triple(
+        x,
+        b * ExactMatrix.diagonal(weights) * b_inv,
+        b * ExactMatrix(size, size, lower) * b_inv,
+    )
+    triple.validate()
+    return triple
 
 
 def build_sigma(cd: SymplecticChainData) -> ExactMatrix:
@@ -361,45 +372,28 @@ def build_sigma(cd: SymplecticChainData) -> ExactMatrix:
                 value = value * I
             diag.extend([value] * cd.counts[d])
     d_mat = ExactMatrix.diagonal(diag)
-    return cd.basis * d_mat * inverse(cd.basis)
+    return cd.basis * d_mat * cd.basis_inverse
 
 
 def restrict_semisimple(xs: ExactMatrix, cd: SymplecticChainData) -> dict:
     """Blocks of a centralizer element on the chain-head spaces.
 
-    Requires xs to commute with the triple; returns {d: X_sd} where X_sd
-    is the matrix of xs on the d-heads (the same block repeats on every
-    level X^l L(d-1)).
+    Requires xs to commute with the nilpotent; returns {d: X_sd} where
+    X_sd is the matrix of xs on the d-heads (the same block repeats on
+    every level X^l of the d-chains).
     """
-    if not (_commutator(xs, cd.triple.x)).is_zero():
+    if not (_commutator(xs, cd.x)).is_zero():
         raise NotInCentralizer("does not commute with the nilpotent")
-    m = inverse(cd.basis) * xs * cd.basis
-    size = m.rows
+    m = cd.basis_inverse * xs * cd.basis
     blocks: dict = {}
-    spans = []
     for d in cd.parts:
-        for level in range(d):
-            off = cd.level_offset(d, level)
-            spans.append((d, level, off, cd.counts[d]))
-    for d, level, off, t in spans:
-        sub = ExactMatrix.from_rows(
+        off, t = cd.level_offset(d, 0), cd.counts[d]
+        blocks[d] = ExactMatrix.from_rows(
             [[m[off + a, off + b] for b in range(t)] for a in range(t)]
         )
-        if level == 0:
-            blocks[d] = sub
-        elif not (sub == blocks[d]):
-            raise NotInCentralizer("level blocks differ along a chain")
-    # everything off the level-diagonal must vanish
-    for da, la, oa, ta in spans:
-        for db, lb, ob, tb in spans:
-            if (da, la) == (db, lb):
-                continue
-            for a in range(ta):
-                for b in range(tb):
-                    if not m[oa + a, ob + b].is_zero():
-                        raise NotInCentralizer(
-                            "does not preserve the chain decomposition"
-                        )
+    levels = [blocks[d] for d in cd.parts for _ in range(d)]
+    if m != ExactMatrix.block_diagonal(levels):
+        raise NotInCentralizer("does not act by one block on every chain level")
     return blocks
 
 
@@ -420,12 +414,10 @@ def build_tau(xsd_map: dict, cd: SymplecticChainData) -> ExactMatrix:
         g = cd.gram[d]
         if tau_blocks[d].transpose() * g * tau_blocks[d] != g:
             raise SelfCheckFailed("tau block breaks the chain form")
-    diag_blocks = []
-    for d in cd.parts:
-        for _ in range(d):
-            diag_blocks.append(tau_blocks[d])
-    big = ExactMatrix.block_diagonal(diag_blocks)
-    return cd.basis * big * inverse(cd.basis)
+    big = ExactMatrix.block_diagonal(
+        [tau_blocks[d] for d in cd.parts for _ in range(d)]
+    )
+    return cd.basis * big * cd.basis_inverse
 
 
 def _form_relative_reverser(xsd: ExactMatrix, pairing, odd: bool) -> ExactMatrix:
@@ -476,19 +468,15 @@ def reverse_full(x: ExactMatrix) -> ReverserCertificate:
     xs, xn = pair.semisimple_part, pair.nilpotent_part
     if xn.is_zero():
         return witness_general_semisimple(x, ctx, False)
-    if xs.is_zero():
-        cd = chain_decomposition(sl2_triple(x))
-        g = build_sigma(cd)
-    else:
-        triple = sl2_triple(xn, commute_with=(xs,))
-        cd = chain_decomposition(triple)
-        sigma = build_sigma(cd)
-        if not (sigma * xs - xs * sigma).is_zero():
+    cd = chain_decomposition(xn, xs)
+    g = build_sigma(cd)
+    if not xs.is_zero():
+        if not (g * xs - xs * g).is_zero():
             raise SelfCheckFailed("sigma must fix X_s")
         tau = build_tau(restrict_semisimple(xs, cd), cd)
         if not (tau * xn - xn * tau).is_zero():
             raise SelfCheckFailed("tau must fix X_n")
-        g = sigma * tau
+        g = g * tau
     cert = ReverserCertificate(x, g, ctx, False)
     report = verify_certificate(cert)
     if not report.ok:

@@ -71,6 +71,28 @@ def test_singular_reverser_is_rejected():
     assert "Invertibility(det g = 0)" in report.failures
 
 
+def test_singular_symplectic_reverser_names_invertibility():
+    """g^t J g = J is tested before any determinant; a singular g fails it
+    and is still reported as singular."""
+    cert = ReverserCertificate(
+        ExactMatrix.diagonal([2, -2]),
+        ExactMatrix.from_rows([[0, 1], [0, 0]]),
+        LieContext("sp", "Sp", 1),
+        False,
+    )
+    assert verify_certificate(cert).failures == ["Invertibility(det g = 0)"]
+
+
+def test_nonsingular_non_symplectic_reverser_names_the_form():
+    cert = ReverserCertificate(
+        ExactMatrix.diagonal([2, -2]),
+        ExactMatrix.from_rows([[0, 2], [1, 0]]),
+        LieContext("sp", "Sp", 1),
+        False,
+    )
+    assert verify_certificate(cert).failures == ["GroupMembership(g^t J g != J)"]
+
+
 def test_certificate_json_round_trip():
     cert = ReverserCertificate(
         ExactMatrix.diagonal([1, -1]), _j1(), LieContext("sl", "SL", 2), False

@@ -1,7 +1,5 @@
 """Exact linear algebra: solving, invariant factors, similarity."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +22,6 @@ from adjreal.matrix import (
     similar_to_negative,
     smith_invariant_factors,
     solve_linear,
-    solve_sparse,
 )
 from adjreal.oracle import rcf_similar
 from adjreal.polynomial import ExactPoly, poly_gcd
@@ -60,33 +57,6 @@ def test_solve_inconsistent():
     a = ExactMatrix.from_rows([[1, 1], [1, 1]])
     with pytest.raises(InconsistentSystem):
         solve_linear(a, [ONE, ZERO])
-
-
-def _sparse_columns(a):
-    return [
-        {i: v for i, v in enumerate(a.column(j)) if not v.is_zero()}
-        for j in range(a.cols)
-    ]
-
-
-def _solve_sparse(columns, rhs):
-    """solve_sparse on sum_k x_k columns[k] = rhs, for sparse columns and
-    right-hand side given as {row: value} maps of nonzero values: each row
-    goes in as its {column: (re, im)} Gaussian integers, the values times
-    the lcm of their denominators, with the right-hand side in column
-    len(columns)."""
-    n = len(columns)
-    rows: dict = {}
-    for k, col in enumerate(columns):
-        for r, v in col.items():
-            rows.setdefault(r, {})[k] = v
-    for r, v in rhs.items():
-        rows.setdefault(r, {})[n] = v
-    cleared = []
-    for row in rows.values():
-        d = math.lcm(*(x.denominator for v in row.values() for x in (v.re, v.im)))
-        cleared.append({c: (int(v.re * d), int(v.im * d)) for c, v in row.items()})
-    return solve_sparse(cleared, n)
 
 
 def _reference_rref(rows, width):
@@ -163,27 +133,23 @@ def _random_system(rng):
     return a, b
 
 
-def test_solve_sparse_matches_dense_particular_solution(rng):
+def test_solve_linear_matches_dense_particular_solution(rng):
     """On random sparse and dense, rank-deficient and inconsistent
-    systems, solve_linear (particular solution and kernel), solve_sparse,
-    kernel and rank all give what the dense reference elimination gives."""
+    systems, solve_linear (particular solution and kernel), kernel and
+    rank all give what the dense reference elimination gives."""
     for _ in range(200):
         a, b = _random_system(rng)
         aug = [a.row_list(i) + [b[i]] for i in range(a.rows)]
         pivots = _reference_rref(aug, a.cols + 1)
-        rhs = {i: v for i, v in enumerate(b) if not v.is_zero()}
         if a.cols in pivots:
             with pytest.raises(InconsistentSystem):
                 solve_linear(a, b)
-            with pytest.raises(InconsistentSystem):
-                _solve_sparse(_sparse_columns(a), rhs)
         else:
             particular = [ZERO] * a.cols
             for r, c in enumerate(pivots):
                 particular[c] = aug[r][a.cols]
             expected = (particular, _reference_kernel(aug, pivots, a.cols))
             assert solve_linear(a, b) == expected
-            assert _solve_sparse(_sparse_columns(a), rhs) == particular
         plain = a.to_lists()
         pivots = _reference_rref(plain, a.cols)
         assert kernel(a) == _reference_kernel(plain, pivots, a.cols)
@@ -470,12 +436,9 @@ def test_solvers_match_gaussrat_gauss_jordan(system):
     a, b = system
     n = a.cols
     pivots = _reference_sparse_rref(_reference_rows(a, [[v] for v in b]))
-    rhs = {i: v for i, v in enumerate(b) if not v.is_zero()}
     if n in pivots:
         with pytest.raises(InconsistentSystem):
             solve_linear(a, b)
-        with pytest.raises(InconsistentSystem):
-            _solve_sparse(_sparse_columns(a), rhs)
     else:
         particular = [ZERO] * n
         for p, row in pivots.items():
@@ -483,7 +446,6 @@ def test_solvers_match_gaussrat_gauss_jordan(system):
         part, ker = solve_linear(a, b)
         assert part == particular
         assert ker == kernel(a)
-        assert _solve_sparse(_sparse_columns(a), rhs) == particular
     pivots = _reference_sparse_rref(_reference_rows(a))
     free = [f for f in range(n) if f not in pivots]
     expected = []

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,12 +14,13 @@ from adjreal.certificates import verify_certificate
 from adjreal.errors import (
     NotInCentralizer,
     NotNilpotent,
+    SelfCheckFailed,
     SpectrumNotSplit,
     ZeroElement,
 )
 from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr
 from adjreal.liecore import LieContext, algebra_member, jn_matrix
-from adjreal.matrix import ExactMatrix, det, inverse, solve_linear, solve_sparse
+from adjreal.matrix import ExactMatrix, det, inverse, solve_linear
 from adjreal.symplectic import (
     Sl2Triple,
     _form_relative_reverser,
@@ -83,28 +85,46 @@ def _dense_solve_in_span(basis, operators, targets):
     return out
 
 
-def _dense_sl2_triple(x, commute_with=()):
-    """Reference: the sl2 systems assembled from dense commutators with
-    every sp_basis matrix, as sl2_triple once built them."""
+def _dense_sl2_triple(x, h, xs=None):
+    """Reference: (X, H, Y) with Y solved from dense commutators with every
+    sp_basis matrix: [X, Y] = H, [H, Y] = -2Y and [Y, X_s] = 0, whose
+    solution is unique, as the centralizer of X has ad-H weights >= 0.
+    First checks that H = [X, W] for some W in sp commuting with X_s
+    (InconsistentSystem otherwise)."""
     basis = sp_basis(x.rows // 2)
     zero = ExactMatrix.zeros(x.rows)
-    ops = [lambda w: _commutator(_commutator(x, w), x)]
-    targets = [x.scale(2)]
-    for s in commute_with:
-        ops.append(lambda w, s=s: _commutator(_commutator(x, w), s))
-        targets.append(zero)
-        ops.append(lambda w, s=s: _commutator(w, s))
-        targets.append(zero)
-    h = _commutator(x, _dense_solve_in_span(basis, ops, targets))
+    others = [] if xs is None else [xs]
+    _dense_solve_in_span(
+        basis,
+        [lambda w: _commutator(x, w)]
+        + [lambda w, s=s: _commutator(w, s) for s in others],
+        [h] + [zero] * len(others),
+    )
     ops_y = [
         lambda yy: _commutator(x, yy),
         lambda yy: _commutator(h, yy) + yy.scale(2),
     ]
     targets_y = [h, zero]
-    for s in commute_with:
+    for s in others:
         ops_y.append(lambda yy, s=s: _commutator(yy, s))
         targets_y.append(zero)
     return x, h, _dense_solve_in_span(basis, ops_y, targets_y)
+
+
+def _check_triple(x, xs=None):
+    """sl2_triple(x, xs) against the dense reference, and the properties
+    of the chain data it is read off: H and Y in sp and commuting with
+    X_s, B^t J B = Q and B^-1 B = I."""
+    t = sl2_triple(x, xs)
+    assert (t.x, t.h, t.y) == _dense_sl2_triple(x, t.h, xs)
+    ctx = LieContext("sp", "Sp", x.rows // 2)
+    assert algebra_member(t.h, ctx) and algebra_member(t.y, ctx)
+    if xs is not None:
+        assert _commutator(t.h, xs).is_zero() and _commutator(t.y, xs).is_zero()
+    cd = chain_decomposition(x, xs)
+    b = cd.basis
+    assert b.transpose() * jn_matrix(x.rows // 2) * b == cd.form()
+    assert cd.basis_inverse * b == ExactMatrix.identity(x.rows)
 
 
 def test_sparse_triple_matches_dense_reference_on_nilpotents():
@@ -112,9 +132,7 @@ def test_sparse_triple_matches_dense_reference_on_nilpotents():
         for parts in symplectic_partitions(total):
             if max(parts) == 1:
                 continue
-            x = nilpotent_from_partition(parts)
-            t = sl2_triple(x)
-            assert (t.x, t.h, t.y) == _dense_sl2_triple(x), parts
+            _check_triple(nilpotent_from_partition(parts))
 
 
 @pytest.mark.parametrize(
@@ -130,20 +148,26 @@ def test_sparse_triple_matches_dense_reference_on_nilpotents():
 )
 def test_sparse_triple_matches_dense_reference_on_mixed(parts, params):
     x, xs, xn = mixed_from_partition(parts, params)
-    t = sl2_triple(xn, commute_with=(xs,))
-    assert (t.x, t.h, t.y) == _dense_sl2_triple(xn, commute_with=(xs,))
+    _check_triple(xn, xs)
 
 
 def test_validate_raises_typed_error_under_optimize():
-    """The triple's self-check and the model builder's partition check are
-    not asserts: python -O keeps them."""
+    """The self-checks of the triple and of the chain basis and the model
+    builder's partition check are not asserts: python -O keeps them."""
     code = (
+        "import dataclasses\n"
         "from adjreal.errors import SelfCheckFailed\n"
-        "from adjreal.symplectic import Sl2Triple, nilpotent_from_partition, sl2_triple\n"
+        "from adjreal.symplectic import (\n"
+        "    Sl2Triple, chain_decomposition, nilpotent_from_partition, sl2_triple)\n"
         "t = sl2_triple(nilpotent_from_partition([2]))\n"
         "bad = Sl2Triple(t.x, t.h.scale(2), t.y)\n"
         "try:\n"
         "    bad.validate()\n"
+        "except SelfCheckFailed as exc:\n"
+        "    print(__debug__, 'SelfCheckFailed', exc)\n"
+        "cd = chain_decomposition(nilpotent_from_partition([2, 2]))\n"
+        "try:\n"
+        "    dataclasses.replace(cd, basis=cd.basis.scale(2)).validate()\n"
         "except SelfCheckFailed as exc:\n"
         "    print(__debug__, 'SelfCheckFailed', exc)\n"
         "try:\n"
@@ -159,8 +183,16 @@ def test_validate_raises_typed_error_under_optimize():
     )
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 2, run.stdout
+    assert len(lines) == 3, run.stdout
     assert all(line.startswith("False SelfCheckFailed") for line in lines), run.stdout
+
+
+def test_triple_validate_rejects_h_or_y_outside_sp():
+    t = sl2_triple(nilpotent_from_partition([2, 2]))
+    for bad in (Sl2Triple(t.x, t.h.plus_scalar(ONE), t.y),
+                Sl2Triple(t.x, t.h, t.y.plus_scalar(ONE))):
+        with pytest.raises(SelfCheckFailed, match="^H or Y is not in sp$"):
+            bad.validate()
 
 
 def test_triple_rejects_zero_and_non_nilpotent():
@@ -172,7 +204,7 @@ def test_triple_rejects_zero_and_non_nilpotent():
 
 def test_chain_data_single_even_chain():
     x = nilpotent_from_partition([2])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     assert cd.parts == (2,)
     assert cd.counts[2] == 1
     g = cd.gram[2]
@@ -182,7 +214,7 @@ def test_chain_data_single_even_chain():
 
 def test_chain_data_odd_pair():
     x = nilpotent_from_partition([3, 3])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     assert cd.counts[3] == 2
     g = cd.gram[3]
     assert g.transpose() == g.scale(-ONE)
@@ -191,7 +223,7 @@ def test_chain_data_odd_pair():
 
 def test_chain_data_partition_sum():
     x = nilpotent_from_partition([4])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     assert cd.counts[4] == 1
     assert sum(d * cd.counts[d] for d in cd.parts) == 4
 
@@ -199,7 +231,7 @@ def test_chain_data_partition_sum():
 def test_chain_heads_have_expected_weight_and_vanishing():
     x = nilpotent_from_partition([4, 2, 2])
     t = sl2_triple(x)
-    cd = chain_decomposition(t)
+    cd = chain_decomposition(x)
     for d in cd.parts:
         w = 1 - d
         for v in cd.heads[d]:
@@ -223,7 +255,7 @@ def GaussRat_scale(c, k: int):
 
 def test_sigma_single_chain_diagonal():
     x = nilpotent_from_partition([2])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     sigma = build_sigma(cd)
     # in the chain basis sigma is diag(i, -i)
     d = inverse(cd.basis) * sigma * cd.basis
@@ -232,7 +264,7 @@ def test_sigma_single_chain_diagonal():
 
 def test_sigma_odd_chain_signs():
     x = nilpotent_from_partition([3, 3])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     sigma = build_sigma(cd)
     d = inverse(cd.basis) * sigma * cd.basis
     assert d == ExactMatrix.diagonal([1, 1, -1, -1, 1, 1])
@@ -244,7 +276,7 @@ def test_sigma_preserves_symplectic_form_on_all_partitions():
             if max(parts) == 1:
                 continue
             x = nilpotent_from_partition(parts)
-            cd = chain_decomposition(sl2_triple(x))
+            cd = chain_decomposition(x)
             sigma = build_sigma(cd)
             j = jn_matrix(total // 2)
             assert sigma.transpose() * j * sigma == j
@@ -253,8 +285,7 @@ def test_sigma_preserves_symplectic_form_on_all_partitions():
 
 def test_restrict_semisimple_blocks():
     x, xs, xn = mixed_from_partition([2, 2], {2: [gr(3)]})
-    triple = sl2_triple(xn, commute_with=(xs,))
-    cd = chain_decomposition(triple)
+    cd = chain_decomposition(xn, xs)
     blocks = restrict_semisimple(xs, cd)
     assert set(blocks) == {2}
     b = blocks[2]
@@ -266,14 +297,14 @@ def test_restrict_semisimple_blocks():
 
 def test_restrict_zero_semisimple():
     x = nilpotent_from_partition([2, 2])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     blocks = restrict_semisimple(ExactMatrix.zeros(4), cd)
     assert all(b.is_zero() for b in blocks.values())
 
 
 def test_restrict_rejects_non_commuting():
     x = nilpotent_from_partition([2, 2])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     bad = ExactMatrix.diagonal([gr(1), gr(2), gr(-1), gr(-2)])
     with pytest.raises(NotInCentralizer):
         restrict_semisimple(bad, cd)
@@ -281,8 +312,7 @@ def test_restrict_rejects_non_commuting():
 
 def test_tau_reverses_semisimple_and_fixes_nilpotent():
     x, xs, xn = mixed_from_partition([3, 3], {3: [gr(2)]})
-    triple = sl2_triple(xn, commute_with=(xs,))
-    cd = chain_decomposition(triple)
+    cd = chain_decomposition(xn, xs)
     tau = build_tau(restrict_semisimple(xs, cd), cd)
     assert (tau * xs + xs * tau).is_zero()
     assert tau * xn == xn * tau
@@ -294,8 +324,7 @@ def test_tau_block_preserves_head_form_characterization():
     """The centralizer characterization on chain bases: tau acts by the
     same block on every level and preserves (., .)_d exactly."""
     x, xs, xn = mixed_from_partition([2, 2, 1, 1], {2: [gr(4)], 1: [gr(1)]})
-    triple = sl2_triple(xn, commute_with=(xs,))
-    cd = chain_decomposition(triple)
+    cd = chain_decomposition(xn, xs)
     tau = build_tau(restrict_semisimple(xs, cd), cd)
     m = inverse(cd.basis) * tau * cd.basis
     for d in cd.parts:
@@ -316,8 +345,7 @@ def test_tau_block_preserves_head_form_characterization():
 
 def test_sigma_is_scalar_on_head_blocks():
     x, xs, xn = mixed_from_partition([2, 2], {2: [gr(3)]})
-    triple = sl2_triple(xn, commute_with=(xs,))
-    cd = chain_decomposition(triple)
+    cd = chain_decomposition(xn, xs)
     sigma = build_sigma(cd)
     m = inverse(cd.basis) * sigma * cd.basis
     base = cd.level_offset(2, 0)
@@ -400,8 +428,7 @@ def test_sigma_still_available_for_irrational_mixed():
 
     x = _irrational_mixed_element()
     pair = jordan_chevalley(x)
-    triple = sl2_triple(pair.nilpotent_part, commute_with=(pair.semisimple_part,))
-    cd = chain_decomposition(triple)
+    cd = chain_decomposition(pair.nilpotent_part, pair.semisimple_part)
     sigma = build_sigma(cd)
     assert (sigma * pair.nilpotent_part + pair.nilpotent_part * sigma).is_zero()
     assert (sigma * pair.semisimple_part - pair.semisimple_part * sigma).is_zero()
@@ -409,7 +436,7 @@ def test_sigma_still_available_for_irrational_mixed():
 
 def test_chain_data_json():
     x = nilpotent_from_partition([2, 2])
-    cd = chain_decomposition(sl2_triple(x))
+    cd = chain_decomposition(x)
     blob = cd.to_json()
     assert blob["parts"] == [2]
     assert blob["counts"] == {"2": 2}
@@ -446,9 +473,8 @@ def _certificate_digest(cert):
 
 
 def test_reverse_full_on_conjugated_8x8_nilpotent_is_pinned():
-    """The (4,4) nilpotent of sp(4) after two symplectic transvections:
-    the eliminations behind its sl2-triple reach common denominators of
-    thousands of bits.  The certificate is pinned byte for byte."""
+    """The (4,4) nilpotent of sp(4) after two symplectic transvections.
+    The certificate is pinned byte for byte."""
     x = _conjugated(nilpotent_from_partition([4, 4]), _TRANSVECTIONS_8)
     cert = reverse_full(x)
     g = cert.reverser
@@ -456,15 +482,15 @@ def test_reverse_full_on_conjugated_8x8_nilpotent_is_pinned():
     assert g * x == -(x * g)
     assert verify_certificate(cert).ok
     assert _certificate_digest(cert) == (
-        "5bf73cdd27906f78b3153cabb74aab6c830b8ae014c388f1a06fdf988a545820"
+        "52ac8f317a1be70f1138123a5539f45cd8bf0c14d0bea9113837ddd523a9f046"
     )
 
 
 def test_reverse_full_on_conjugated_12x12_nilpotent_is_pinned():
     """The (6,4,2) nilpotent of sp(6) after one symplectic transvection:
-    solving a second ad-system for Y, rather than reading Y off W, would
-    take 288 rows with 3,223-bit minors.  The certificate is pinned byte
-    for byte."""
+    three chain lengths, so the heads of the shorter chains come from the
+    orthogonal complement of the longer ones.  The certificate is pinned
+    byte for byte."""
     x = _conjugated(
         nilpotent_from_partition([6, 4, 2]),
         [["1", "-i", "2", "0", "1/2", "-1", "i", "3", "0", "-2", "1+i", "1"]],
@@ -473,7 +499,7 @@ def test_reverse_full_on_conjugated_12x12_nilpotent_is_pinned():
     assert cert.element == x
     assert verify_certificate(cert).ok
     assert _certificate_digest(cert) == (
-        "bb3e374bbae4b38ab927ee041010b3c3a8d3c000ec3e940b5cb28c5e7d067a26"
+        "acb0f2e8a4e8926da46fb22586396c292a4c53dc9a6bd1395d44507a03e4e94f"
     )
 
 
@@ -487,33 +513,56 @@ def _conjugated_mixed_8x8():
 
 
 def test_triple_matches_dense_reference_on_conjugated_8x8():
-    """Y read off W equals the dense reference's solution of the second
-    system, on the conjugated (4,4) nilpotent and a conjugated mixed
-    element."""
-    x = _conjugated(nilpotent_from_partition([4, 4]), _TRANSVECTIONS_8)
-    t = sl2_triple(x)
-    assert (t.x, t.h, t.y) == _dense_sl2_triple(x)
+    """The triple read off the chain basis of the conjugated (4,4)
+    nilpotent and of two conjugated mixed elements, against the dense
+    reference.  In the (3,3,1,1) element X_s has eigenvalues +-2 on the
+    long chains and +-1 on the short ones, and a unit vector mixes all
+    four: its X_s-orbit is wider than that of its image under X^2."""
+    _check_triple(_conjugated(nilpotent_from_partition([4, 4]), _TRANSVECTIONS_8))
     _, xs, xn = _conjugated_mixed_8x8()
-    t = sl2_triple(xn, commute_with=(xs,))
-    assert (t.x, t.h, t.y) == _dense_sl2_triple(xn, commute_with=(xs,))
+    _check_triple(xn, xs)
+    x, xs, xn = (
+        _conjugated(m, _TRANSVECTIONS_8[:1])
+        for m in mixed_from_partition([3, 3, 1, 1], {3: [gr(2)], 1: [gr(1)]})
+    )
+    _check_triple(xn, xs)
+    assert verify_certificate(reverse_full(x)).ok
 
 
-def test_triple_solves_one_sparse_system(monkeypatch):
-    """Only W is solved for; Y is read off it."""
+def test_reverse_full_builds_no_triple_and_no_basis_inverse(monkeypatch):
+    """sigma and tau use the chain data's B^-1 = Q^-1 B^t J: reverse_full
+    completes no sl2-triple and inverts nothing of the chain basis's size."""
     from adjreal import symplectic
 
-    calls = []
+    sizes = []
 
-    def counted(rows, n):
-        calls.append(n)
-        return solve_sparse(rows, n)
+    def counted(a):
+        sizes.append(a.rows)
+        return inverse(a)
 
-    monkeypatch.setattr(symplectic, "solve_sparse", counted)
-    sl2_triple(nilpotent_from_partition([4, 2]))
-    assert len(calls) == 1
-    _, xs, xn = _conjugated_mixed_8x8()
-    sl2_triple(xn, commute_with=(xs,))
-    assert len(calls) == 2
+    def no_triple(*args):
+        raise AssertionError("reverse_full built an sl2-triple")
+
+    nilpotent = _conjugated(nilpotent_from_partition([4, 4]), _TRANSVECTIONS_8)
+    mixed, _, _ = _conjugated_mixed_8x8()
+    monkeypatch.setattr(symplectic, "inverse", counted)
+    monkeypatch.setattr(symplectic, "sl2_triple", no_triple)
+    for x in (nilpotent, mixed):
+        assert verify_certificate(reverse_full(x)).ok
+    assert sizes and max(sizes) < 8
+
+
+def test_reverse_full_on_conjugated_24x24_nilpotent():
+    """The (12,12) nilpotent of sp(12) after one symplectic transvection
+    I + v v^t J, v_k = a + b i with a in [-2, 2] and b in [-1, 1] drawn
+    from random.Random(7)."""
+    rng = random.Random(7)
+    v = [GaussRat(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(24)]
+    x = nilpotent_from_partition([12, 12])
+    x = _transvection(12, v, ONE) * x * _transvection(12, v, -ONE)
+    cert = reverse_full(x)
+    assert cert.element == x
+    assert verify_certificate(cert).ok
 
 
 def test_form_relative_reverser_keeps_its_spectrum_message():

@@ -32,7 +32,6 @@ from adjreal.polynomial import ExactPoly, linear_roots, squarefree_part  # noqa:
 from adjreal.symplectic import (  # noqa: E402
     chain_decomposition,
     nilpotent_from_partition,
-    sl2_triple,
     symplectic_partitions,
 )
 from conftest import conjugated_jordan_matrices  # noqa: E402
@@ -263,16 +262,16 @@ def _symplectic_transvection(n, v, c):
 @st.composite
 def conjugated_nilpotents(draw):
     """(partition, X): nilpotent_from_partition conjugated by one or two
-    symplectic transvections (one at 2n = 8), so X stays in sp(n) but is
-    not in model form.  Partitions of 2n <= 8 with a part above 1 (X = 0
-    has no sl2-triple)."""
+    symplectic transvections (one from 2n = 8 on), so X stays in sp(n)
+    but is not in model form.  Partitions of 2n <= 12 with a part above 1
+    (X = 0 has no chains)."""
     parts = draw(st.sampled_from([
-        p for total in (2, 4, 6, 8) for p in symplectic_partitions(total)
+        p for total in (2, 4, 6, 8, 10, 12) for p in symplectic_partitions(total)
         if p[0] > 1
     ]))
     x = nilpotent_from_partition(parts)
     n = x.rows // 2
-    for _ in range(1 if n == 4 else draw(st.integers(1, 2))):
+    for _ in range(1 if n >= 4 else draw(st.integers(1, 2))):
         v = [draw(st.sampled_from(ENTRIES)) for _ in range(2 * n)]
         x = (_symplectic_transvection(n, v, ONE) * x
              * _symplectic_transvection(n, v, -ONE))
@@ -298,5 +297,5 @@ def test_chain_partition_matches_sympy_jordan_blocks(case):
         following = at_least[k] if k < len(at_least) else 0
         blocks.extend([k] * (count - following))
     assert sorted(blocks, reverse=True) == list(parts)
-    chains = chain_decomposition(sl2_triple(x)).partition()
+    chains = chain_decomposition(x).partition()
     assert sorted(chains, reverse=True) == sorted(blocks, reverse=True)

@@ -74,16 +74,18 @@ def _cmd_decide(args) -> int:
     return 0 if verdict.is_real == "yes" else 1
 
 
+def _refuse(exc: AdjRealError, out_path: str | None) -> int:
+    """Emit a refusal with a null witness; exit 1."""
+    _emit({"witness": None, "error": type(exc).__name__, "message": str(exc)}, out_path)
+    return 1
+
+
 def _cmd_witness(args) -> int:
     mat, ctx = _matrix_and_context(args)
     try:
         cert = witness_general_semisimple(mat, ctx, args.involution)
     except (NotRealizable, SpectrumNotSplit) as exc:
-        _emit(
-            {"witness": None, "error": type(exc).__name__, "message": str(exc)},
-            args.out,
-        )
-        return 1
+        return _refuse(exc, args.out)
     _emit(cert.to_json(), args.out)
     return 0
 
@@ -117,12 +119,8 @@ def _cmd_reverse(args) -> int:
     mat = ExactMatrix.from_json(_load_json_arg(args.matrix))
     try:
         cert = reverse_full(mat)
-    except (SpectrumNotSplit,) as exc:
-        _emit(
-            {"witness": None, "error": type(exc).__name__, "message": str(exc)},
-            args.out,
-        )
-        return 1
+    except SpectrumNotSplit as exc:
+        return _refuse(exc, args.out)
     _emit(cert.to_json(), args.out)
     return 0
 

@@ -1,9 +1,9 @@
 """Exact scalars over the Gaussian rationals Q(i).
 
-A scalar is a pair of arbitrary-precision rationals (re, im) representing
+A scalar is a pair of ``fractions.Fraction`` values (re, im) representing
 re + im*i.  Both components are kept in lowest terms with positive
-denominator by the underlying rational type, so equality is plain
-structural equality and every operation is exact.
+denominator, so equality is plain structural equality and every
+operation is exact.
 
 The wire format is the string grammar ``a/b+c/d*i`` ("1/2-3*i", "2", "-i"
 and friends); :func:`GaussRat.parse` and ``str()`` round-trip it.
@@ -12,17 +12,10 @@ and friends); :func:`GaussRat.parse` and ``str()`` round-trip it.
 from __future__ import annotations
 
 import math
-import os
 import re
+from fractions import Fraction as _Q
 
 from .errors import ParseError
-
-try:  # gmpy2.mpq is a drop-in Fraction with much faster arithmetic
-    if os.environ.get("ADJREAL_PURE_PYTHON"):
-        raise ImportError("pure-python backend requested")
-    from gmpy2 import mpq as _Q
-except ImportError:
-    from fractions import Fraction as _Q
 
 
 def rational(num=0, den=1):
@@ -53,8 +46,8 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is type(_R_ZERO) else _Q(re)
-        self.im = im if type(im) is type(_R_ZERO) else _Q(im)
+        self.re = re if type(re) is _Q else _Q(re)
+        self.im = im if type(im) is _Q else _Q(im)
 
     # -- constructors ------------------------------------------------------
 

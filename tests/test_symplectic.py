@@ -135,27 +135,31 @@ def test_sparse_triple_matches_dense_reference_on_nilpotents():
             _check_triple(nilpotent_from_partition(parts))
 
 
-@pytest.mark.parametrize(
-    "parts, params",
-    [
-        ([2, 2], {2: [gr(3)]}),
-        ([3, 3], {3: [gr(2)]}),
-        ([2, 2, 1, 1], {2: [gr(4)], 1: [gr(1)]}),
-        ([4, 4], {4: [I]}),
-        ([3, 3, 2], {3: [gr("1/2")]}),
-        ([2, 2, 2, 2], {2: [gr(1), gr(-2)]}),
-    ],
-)
+_MIXED_CONFIGS = [
+    ([2, 2], {2: [gr(3)]}),
+    ([3, 3], {3: [gr(2)]}),
+    ([2, 2, 1, 1], {2: [gr(4)], 1: [gr(1)]}),
+    ([4, 4], {4: [I]}),
+    ([3, 3, 2], {3: [gr("1/2")]}),
+    ([2, 2, 2, 2], {2: [gr(1), gr(-2)]}),
+]
+
+
+@pytest.mark.parametrize("parts, params", _MIXED_CONFIGS)
 def test_sparse_triple_matches_dense_reference_on_mixed(parts, params):
     x, xs, xn = mixed_from_partition(parts, params)
     _check_triple(xn, xs)
 
 
 def test_validate_raises_typed_error_under_optimize():
-    """The self-checks of the triple and of the chain basis and the model
-    builder's partition check are not asserts: python -O keeps them."""
+    """The self-checks of the triple and of the chain basis, the model
+    builder's partition check and the certificate check of reverse_full
+    are not asserts: python -O keeps them.  The last is the only check of
+    a reverser composed from a wrong B^-1 (here 2 B^-1, so g = 2 sigma
+    still negates X but is not symplectic)."""
     code = (
         "import dataclasses\n"
+        "from adjreal import symplectic\n"
         "from adjreal.errors import SelfCheckFailed\n"
         "from adjreal.symplectic import (\n"
         "    Sl2Triple, chain_decomposition, nilpotent_from_partition, sl2_triple)\n"
@@ -174,6 +178,14 @@ def test_validate_raises_typed_error_under_optimize():
         "    nilpotent_from_partition([1])\n"
         "except SelfCheckFailed as exc:\n"
         "    print(__debug__, 'SelfCheckFailed', exc)\n"
+        "def doubled_inverse(xn, xs):\n"
+        "    cd = chain_decomposition(xn, xs)\n"
+        "    return dataclasses.replace(cd, basis_inverse=cd.basis_inverse.scale(2))\n"
+        "symplectic.chain_decomposition = doubled_inverse\n"
+        "try:\n"
+        "    symplectic.reverse_full(nilpotent_from_partition([2, 2]))\n"
+        "except SelfCheckFailed as exc:\n"
+        "    print(__debug__, 'SelfCheckFailed', exc)\n"
     )
     src = os.path.dirname(os.path.dirname(adjreal.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -183,8 +195,9 @@ def test_validate_raises_typed_error_under_optimize():
     )
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 3, run.stdout
+    assert len(lines) == 4, run.stdout
     assert all(line.startswith("False SelfCheckFailed") for line in lines), run.stdout
+    assert lines[-1].startswith("False SelfCheckFailed symplectic reverser failed:")
 
 
 def test_triple_validate_rejects_h_or_y_outside_sp():
@@ -550,6 +563,53 @@ def test_reverse_full_builds_no_triple_and_no_basis_inverse(monkeypatch):
     for x in (nilpotent, mixed):
         assert verify_certificate(reverse_full(x)).ok
     assert sizes and max(sizes) < 8
+
+
+def _no_power(self, k):
+    raise AssertionError("ExactMatrix.power called")
+
+
+def test_reverse_full_composes_sigma_tau_in_chain_basis(monkeypatch):
+    """reverse_full leaves the chain basis once, B (Sigma T) B^-1, and its
+    reverser is the product of the separately built sigma and tau;
+    chain_decomposition reads nilpotency off its own power ladder."""
+    from adjreal.symplectic import SymplecticChainData
+
+    cases = [mixed_from_partition(parts, params) for parts, params in _MIXED_CONFIGS]
+    cases.append(_conjugated_mixed_8x8())
+    from_chain = SymplecticChainData.from_chain
+    for x, xs, xn in cases:
+        calls = []
+
+        def counted(cd, m):
+            calls.append(m.rows)
+            return from_chain(cd, m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SymplecticChainData, "from_chain", counted)
+            patch.setattr(ExactMatrix, "power", _no_power)
+            g = reverse_full(x).reverser
+            assert calls == [x.rows]
+            cd = chain_decomposition(xn, xs)
+        assert g == build_sigma(cd) * build_tau(restrict_semisimple(xs, cd), cd)
+
+
+def test_non_nilpotent_is_caught_by_the_chain_ladder(monkeypatch):
+    """NotNilpotent comes from the first power ladder, bounded at 2n, and
+    wins over NotInCentralizer for a semisimple that does not commute."""
+    monkeypatch.setattr(ExactMatrix, "power", _no_power)
+    h = ExactMatrix.diagonal([gr(1), gr(-1)])
+    swap = ExactMatrix.from_rows([[0, 1], [1, 0]])
+    mixed, _, xn = _conjugated_mixed_8x8()
+    scalars = ExactMatrix.diagonal([gr(k) for k in (1, 2, 3, 4, -1, -2, -3, -4)])
+    assert not _commutator(scalars, xn).is_zero()
+    with pytest.raises(NotInCentralizer):
+        chain_decomposition(xn, scalars)
+    for x, bad in ((h, swap), (mixed, scalars)):
+        for build in (chain_decomposition, sl2_triple):
+            for semisimple in (None, bad):
+                with pytest.raises(NotNilpotent):
+                    build(x, semisimple)
 
 
 def test_reverse_full_on_conjugated_24x24_nilpotent():

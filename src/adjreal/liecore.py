@@ -89,16 +89,33 @@ def _check_size(x: ExactMatrix, ctx: LieContext):
 
 def algebra_member(x: ExactMatrix, ctx: LieContext) -> bool:
     """Defining equations: trace 0 for sl, X^t + X = 0 for so,
-    X^t J + J X = 0 for sp; gl is unconstrained."""
+    X^t J + J X = 0 for sp; gl is unconstrained.
+
+    Both transpose equations are read entry by entry.  With X = [[A, B],
+    [C, D]] in n x n blocks, X^t J + J X = [[C^t - C, -A^t - D],
+    [A + D^t, B - B^t]], so X is in sp(n) when D = -A^t, B = B^t and
+    C = C^t."""
     _check_size(x, ctx)
     if ctx.algebra == "gl":
         return True
     if ctx.algebra == "sl":
         return x.trace().is_zero()
+    e, size = x.entries, x.rows
     if ctx.algebra == "so":
-        return (x.transpose() + x).is_zero()
-    j = jn_matrix(ctx.n)
-    return (x.transpose() * j + j * x).is_zero()
+        return all(
+            e[i * size + j] == -e[j * size + i] for i in range(size) for j in range(i, size)
+        )
+    n = ctx.n
+    for i in range(n):
+        for j in range(n):
+            if e[(n + j) * size + n + i] != -e[i * size + j]:  # D = -A^t
+                return False
+            if j > i and (
+                e[i * size + n + j] != e[j * size + n + i]  # B = B^t
+                or e[(n + i) * size + j] != e[(n + j) * size + i]  # C = C^t
+            ):
+                return False
+    return True
 
 
 def group_failure(g: ExactMatrix, ctx: LieContext) -> str | None:
@@ -119,9 +136,13 @@ def group_failure(g: ExactMatrix, ctx: LieContext) -> str | None:
         return None if ctx.group == "GL" or d == 1 else "GroupMembership(det g != 1)"
     if ctx.group in ("O", "SO"):
         form, failure = ExactMatrix.identity(size), "GroupMembership(g^t g != I)"
+        image = g
     else:
         form, failure = jn_matrix(ctx.n), "GroupMembership(g^t J g != J)"
-    if g.transpose() * form * g != form:
+        # J g: the lower half of g's rows, negated, over the upper half
+        n, rows = ctx.n, g.entries
+        image = ExactMatrix(size, size, [-v for v in rows[n * size:]] + list(rows[: n * size]))
+    if g.transpose() * image != form:
         return "Invertibility(det g = 0)" if det(g).is_zero() else failure
     if ctx.group == "SO" and det(g) != 1:
         return "GroupMembership(det g != 1)"

@@ -165,6 +165,17 @@ def _build_cases():
         "jordan", "--matrix",
         wire(conj_unimodular(ExactMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, -1]]), 3)),
     ]
+    # two Newton steps on a dense 8x8; a characteristic polynomial with
+    # denominators 2 and 3
+    mixed8 = mixed_from_partition([3, 3, 1, 1], {3: [gr(1)], 1: [gr(0, 1)]})[0]
+    cases["jordan-sp4-mixed-3-3-1-1"] = ["jordan", "--matrix", wire(conj_symplectic(mixed8, 5))]
+    half, third = gr("1/2"), gr(0, "1/3")
+    cases["jordan-gl3-nonintegral"] = [
+        "jordan", "--matrix",
+        wire(conj_unimodular(
+            ExactMatrix.from_rows([[half, ONE, ZERO], [ZERO, half, ZERO], [ZERO, ZERO, third]]), 3
+        )),
+    ]
 
     # verify: a produced certificate, and the same one tampered with
     c, x = semisimple["sl4"]

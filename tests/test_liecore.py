@@ -183,3 +183,127 @@ def test_group_membership_closed_under_product(rng):
 def test_context_json_round_trip():
     ctx = LieContext("sp", "PSp", 3)
     assert LieContext.from_json(ctx.to_json()) == ctx
+
+
+# -- entrywise membership against the product form -----------------------------
+
+
+def _algebra_member_by_products(x, ctx):
+    """The defining equations as dense matrix products."""
+    if ctx.algebra == "gl":
+        return True
+    if ctx.algebra == "sl":
+        return x.trace().is_zero()
+    if ctx.algebra == "so":
+        return (x.transpose() + x).is_zero()
+    j = jn_matrix(ctx.n)
+    return (x.transpose() * j + j * x).is_zero()
+
+
+def _group_failure_by_products(g, ctx):
+    """``group_failure`` with g^t I g and g^t J g as dense products."""
+    if ctx.group in ("GL", "SL", "PSL"):
+        d = det(g)
+        if d.is_zero():
+            return "Invertibility(det g = 0)"
+        return None if ctx.group == "GL" or d == 1 else "GroupMembership(det g != 1)"
+    if ctx.group in ("O", "SO"):
+        form, failure = ExactMatrix.identity(g.rows), "GroupMembership(g^t g != I)"
+    else:
+        form, failure = jn_matrix(ctx.n), "GroupMembership(g^t J g != J)"
+    if g.transpose() * form * g != form:
+        return "Invertibility(det g = 0)" if det(g).is_zero() else failure
+    if ctx.group == "SO" and det(g) != 1:
+        return "GroupMembership(det g != 1)"
+    return None
+
+
+def _random_algebra_member(rng, ctx):
+    n = ctx.matrix_size
+    pool = [ZERO, ONE, -ONE, gr(2), I, gr("1/2"), gr(1, -1)]
+    rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+    if ctx.algebra == "sl":
+        rows[n - 1][n - 1] = -sum((rows[k][k] for k in range(n - 1)), ZERO)
+    elif ctx.algebra == "so":
+        for i in range(n):
+            rows[i][i] = ZERO
+            for j in range(i):
+                rows[i][j] = -rows[j][i]
+    elif ctx.algebra == "sp":
+        m = ctx.n
+        for i in range(m):
+            for j in range(m):
+                rows[m + j][m + i] = -rows[i][j]  # D = -A^t
+                if j < i:
+                    rows[i][m + j] = rows[j][m + i]  # B = B^t
+                    rows[m + i][j] = rows[m + j][i]  # C = C^t
+    return ExactMatrix.from_rows(rows)
+
+
+def _near_misses(x):
+    """x with one entry raised by 1 or by i, for every entry."""
+    for i in range(x.rows):
+        for j in range(x.cols):
+            for c in (ONE, I):
+                yield x.with_entry(i, j, x[i, j] + c)
+
+
+def test_algebra_member_matches_product_form(rng):
+    contexts = [
+        LieContext("gl", "GL", 3),
+        LieContext("sl", "SL", 3),
+        LieContext("so", "SO", 3),
+        LieContext("so", "O", 4),
+        LieContext("sp", "Sp", 1),
+        LieContext("sp", "Sp", 2),
+        LieContext("sp", "PSp", 3),
+    ]
+    for ctx in contexts:
+        for _ in range(3):
+            x = _random_algebra_member(rng, ctx)
+            assert algebra_member(x, ctx) and _algebra_member_by_products(x, ctx)
+            verdicts = []
+            for y in _near_misses(x):
+                verdicts.append(algebra_member(y, ctx))
+                assert verdicts[-1] == _algebra_member_by_products(y, ctx)
+            assert ctx.algebra == "gl" or not all(verdicts)
+
+
+def test_group_failure_matches_product_form(rng):
+    from adjreal.liecore import group_failure
+
+    half = gr("1/2")
+    # a reflection with entries +-1/2: orthogonal, det -1
+    reflection = ExactMatrix.from_rows(
+        [[half, half, half, half], [half, half, -half, -half],
+         [half, -half, half, -half], [half, -half, -half, half]]
+    )
+    contexts = [
+        LieContext("gl", "GL", 3),
+        LieContext("sl", "SL", 3),
+        LieContext("sl", "PSL", 2),
+        LieContext("so", "SO", 3),
+        LieContext("so", "O", 4),
+        LieContext("so", "SO", 4),
+        LieContext("sp", "Sp", 1),
+        LieContext("sp", "Sp", 2),
+        LieContext("sp", "PSp", 2),
+    ]
+    seen = set()
+    for ctx in contexts:
+        members = [_random_group_element(rng, ctx) for _ in range(3)]
+        members.append(ExactMatrix.zeros(ctx.matrix_size))
+        if ctx.group in ("Sp", "PSp"):
+            members.append(jn_matrix(ctx.n))
+        if ctx.matrix_size == 4 and ctx.algebra == "so":
+            members.append(reflection)
+        for g in members:
+            for h in (g, *_near_misses(g)):
+                failure = group_failure(h, ctx)
+                assert failure == _group_failure_by_products(h, ctx)
+                seen.add(failure)
+    # every failure kind was met
+    assert seen == {
+        None, "Invertibility(det g = 0)", "GroupMembership(det g != 1)",
+        "GroupMembership(g^t g != I)", "GroupMembership(g^t J g != J)",
+    }

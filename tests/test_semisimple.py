@@ -473,8 +473,9 @@ def test_witness_dense_sl30_is_pinned():
 
 
 def test_self_checks_survive_python_optimize():
-    """The helpers' internal checks, and the exact Gaussian-integer
-    divisions of the elimination and of det, raise SelfCheckFailed, not
+    """The helpers' internal checks, the exact Gaussian-integer divisions
+    of the elimination and of det, and the two checks of the
+    Jordan-Chevalley Newton iteration raise SelfCheckFailed, not
     AssertionError or ArithmeticError, and python -O keeps them."""
     code = (
         "from adjreal import semisimple as s\n"
@@ -495,6 +496,15 @@ def test_self_checks_survive_python_optimize():
         "        m.det(ExactMatrix.from_rows([[1, 2, 0], [3, 1, 1], [0, 1, 2]]))\n"
         "    finally:\n"
         "        m._exact_divider = right\n"
+        "from adjreal import jordan\n"
+        "from adjreal.polynomial import ExactPoly\n"
+        "def jordan_with(name, fake):\n"
+        "    right = getattr(jordan, name)\n"
+        "    setattr(jordan, name, fake)\n"
+        "    try:\n"
+        "        jordan.jordan_chevalley(ExactMatrix.from_rows([[1, 1], [0, 1]]))\n"
+        "    finally:\n"
+        "        setattr(jordan, name, right)\n"
         "cases = {\n"
         "    'linear': lambda: s._witness_linear([ONE, ONE], LieContext('gl', 'GL', 2), False),\n"
         "    'projective': lambda: s._witness_projective_linear([ONE, ONE], LieContext('sl', 'PSL', 2)),\n"
@@ -507,6 +517,9 @@ def test_self_checks_survive_python_optimize():
         "    'inexact-real': lambda: inexact((3, 0)),\n"
         "    'inexact-complex': lambda: inexact((1, 1)),\n"
         "    'det-wrong-pivot': wrong_pivot,\n"
+        "    'jordan-non-unit-gcd': lambda: jordan_with(\n"
+        "        'poly_xgcd', lambda p, q: (ExactPoly.x_power(1), ExactPoly.one(), ExactPoly.one())),\n"
+        "    'jordan-no-convergence': lambda: jordan_with('_inverse_mod', lambda p, q: ExactPoly.zero()),\n"
         "}\n"
         "for name, case in cases.items():\n"
         "    try:\n"
@@ -525,5 +538,5 @@ def test_self_checks_survive_python_optimize():
     assert run.stdout.split() == [
         "linear", "projective", "symplectic", "so-pairs", "sp-pairs",
         "symmetric-form", "antisymmetric-form", "inexact-real", "inexact-complex",
-        "det-wrong-pivot", "False",
+        "det-wrong-pivot", "jordan-non-unit-gcd", "jordan-no-convergence", "False",
     ]

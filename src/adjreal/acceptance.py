@@ -12,7 +12,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .certificates import verify_certificate
+from .certificates import is_nonzero_scalar, verify_certificate
 from .errors import NotRealizable
 from .gaussian import GaussRat, ONE, ZERO
 from .liecore import (
@@ -551,7 +551,7 @@ def criterion_8_projective(seed: int) -> CriterionResult:
             _check(verify_certificate(wit).ok, f"PSL({n}): witness failed", failures)
             g2 = wit.reverser * wit.reverser
             _check(
-                _is_scalar(g2), f"PSL({n}): witness square not scalar", failures
+                is_nonzero_scalar(g2), f"PSL({n}): witness square not scalar", failures
             )
             cases += 1
     for n in range(1, 5):
@@ -569,7 +569,7 @@ def criterion_8_projective(seed: int) -> CriterionResult:
             _check(verify_certificate(wit).ok, f"PSp({n}): witness failed", failures)
             g2 = wit.reverser * wit.reverser
             _check(
-                _is_scalar(g2), f"PSp({n}): witness square not scalar", failures
+                is_nonzero_scalar(g2), f"PSp({n}): witness square not scalar", failures
             )
             cases += 1
     detail = f"{cases} projective elements, all squares central scalars"
@@ -577,11 +577,6 @@ def criterion_8_projective(seed: int) -> CriterionResult:
         8, "projective suite", not failures,
         detail if not failures else failures[0],
     )
-
-
-def _is_scalar(m: ExactMatrix) -> bool:
-    c = m[0, 0]
-    return not c.is_zero() and m == ExactMatrix.identity(m.rows).scale(c)
 
 
 _CRITERIA = [

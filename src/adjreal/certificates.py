@@ -79,15 +79,14 @@ def verify_certificate(cert: ReverserCertificate) -> VerificationReport:
         if cert.claims_involution:
             g2 = g * g
             if ctx.is_projective:
-                if not _is_nonzero_scalar(g2):
+                if not is_nonzero_scalar(g2):
                     failures.append("InvolutionClaim(g^2 not a central scalar)")
             elif not (g2 == ExactMatrix.identity(size)):
                 failures.append("InvolutionClaim(g^2 != I)")
     return VerificationReport(not failures, failures)
 
 
-def _is_nonzero_scalar(m: ExactMatrix) -> bool:
+def is_nonzero_scalar(m: ExactMatrix) -> bool:
+    """m = c I for some c != 0: central in PSL / PSp."""
     c = m[0, 0]
-    if c.is_zero():
-        return False
-    return m == ExactMatrix.identity(m.rows).scale(c)
+    return not c.is_zero() and m == ExactMatrix.identity(m.rows).scale(c)

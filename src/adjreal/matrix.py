@@ -1,26 +1,28 @@
 """Exact linear algebra over Q(i) and over Q(i)[x].
 
-Everything here is deterministic.  Solutions, kernel bases, ranks and
-inverses are read off the reduced row echelon form, which is unique.
-One engine computes it, and builds the Krylov echelons of ``oracle``
-a row at a time: sparse fraction-free Gauss-Jordan elimination over the
-Gaussian integers.  Each row is cleared of its denominators once (for
+Everything here is deterministic.  Solutions, kernel bases, ranks,
+inverses and determinants are read off the reduced row echelon form,
+which is unique.  One engine computes it, and builds the Krylov
+echelons v, Av, A^2 v, ... of ``oracle`` and ``symplectic`` a row at a
+time: sparse fraction-free Gauss-Jordan elimination over the Gaussian
+integers.  Each row is cleared of its denominators once (for
 ``inverse``, each column), every pivot equals one common denominator,
 each update divides exactly in Z[i] by the previous one, and each entry
-that is read is divided back once, so the values are the same unique
-ones.  Products, matrix-vector products and
-determinants also run over Gaussian integers: rows (and, for a
-product's right factor, columns) are cleared of their denominators, the
-sums are taken in Python ints, and the result is divided back once per
-entry.  The Smith-form reduction picks the minimal-degree nonzero entry
-with ties broken in row-major order, so repeated runs produce identical
-invariant factors.
+that is read is divided back once.  Products and matrix-vector products
+also run over Gaussian integers: rows (and, for a product's right
+factor, columns) are cleared of their denominators, the sums are taken
+in Python ints, and the result is divided back once per entry.  The
+Smith-form reduction picks the minimal-degree nonzero entry with ties
+broken in row-major order, so repeated runs produce identical invariant
+factors.
 
 JSON wire format for matrices:
     {"rows": n, "cols": m, "entries": [["a/b+c/d*i", ...], ...]}
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import (
     InconsistentSystem,
@@ -355,12 +357,13 @@ class _Echelon:
     fraction-free Gauss-Jordan elimination (FFGJ, as in sympy's
     ``sdm_rref_den``).
 
-    ``pivots`` maps each pivot column to its row, a {column: (re, im)} map
-    of the nonzero Gaussian-integer entries outside the pivot columns.
-    Every pivot entry equals the common denominator ``den`` and is not
-    stored, so the reduced row echelon form over Q(i) is each row divided
-    by ``den`` (``value``).  The entries are minors of the rows added, so
-    each update divides exactly, in Z[i], by the previous denominator.
+    ``pivots`` maps each pivot column, in the order found, to its row, a
+    {column: (re, im)} map of the nonzero Gaussian-integer entries outside
+    the pivot columns.  Every pivot entry equals the common denominator
+    ``den`` and is not stored, so the reduced row echelon form over Q(i)
+    is each row divided by ``den`` (``value``).  The entries are minors of
+    the rows added, so each update divides exactly, in Z[i], by the
+    previous denominator.
     """
 
     __slots__ = ("pivots", "den")
@@ -369,9 +372,15 @@ class _Echelon:
         self.pivots: dict = {}
         self.den = (1, 0)
 
-    def value(self, z) -> GaussRat:
-        """The Q(i) entry of the reduced form for a stored entry z."""
-        return _gauss_quotient(z, self.den)
+    def copy(self) -> "_Echelon":
+        out = _Echelon()
+        out.pivots, out.den = {c: dict(r) for c, r in self.pivots.items()}, self.den
+        return out
+
+    def value(self, z, scale: int = 1) -> GaussRat:
+        """The Q(i) entry of the reduced form for a stored z, over scale."""
+        dr, di = self.den
+        return _gauss_quotient(z, (scale * dr, scale * di))
 
     def reduce(self, row: dict) -> dict:
         """den * row minus its multiples of the pivot rows, as a new
@@ -466,6 +475,99 @@ def _sparse_rows(a: ExactMatrix):
     return [_cleared_dict(es[i * m : (i + 1) * m]) for i in range(a.rows)]
 
 
+def _cleared_columns(a: ExactMatrix):
+    """(d, columns): a = M / d with M over Z[i] and d the lcm of the
+    denominators of a; column j of M as a list of its nonzero entries
+    (i, re, im)."""
+    n = a.cols
+    d, entries = _cleared(a.entries)
+    columns = [[] for _ in range(n)]
+    for idx, re, im in entries:
+        i, j = divmod(idx, n)
+        columns[j].append((i, re, im))
+    return d, columns
+
+
+def _apply(columns, w: dict) -> dict:
+    """M w for M given by its cleared columns and w a {row: (re, im)}
+    vector of Gaussian integers."""
+    out: dict = {}
+    for j, (wr, wi) in w.items():
+        for i, mr, mi in columns[j]:
+            xr, xi = mr * wr - mi * wi, mr * wi + mi * wr
+            if i in out:
+                yr, yi = out[i]
+                out[i] = (yr + xr, yi + xi)
+            else:
+                out[i] = (xr, xi)
+    return {i: z for i, z in out.items() if z[0] or z[1]}
+
+
+def _poly_on_vector(p: ExactPoly, cleared, v):
+    """p(A) v for A = M / d, cleared = (d, columns of M).
+
+    With p = P / e and v = V / f over Z[i], p(A) v is
+    sum_i P_i d^(deg p - i) M^i V / (e f d^(deg p)); Horner's rule on the
+    Gaussian-integer vectors computes the sum."""
+    d, columns = cleared
+    e, coeffs = _cleared(p.coeffs)
+    f, vec = _cleared(v)
+    coeff = {i: (re, im) for i, re, im in coeffs}
+    out: dict = {}
+    scale = 1  # d^(deg p - i)
+    for i in range(p.degree(), -1, -1):
+        out = _apply(columns, out)
+        if i in coeff:
+            cr, ci = coeff[i]
+            cr, ci = cr * scale, ci * scale
+            for j, vr, vi in vec:
+                xr, xi = cr * vr - ci * vi, cr * vi + ci * vr
+                yr, yi = out.get(j, (0, 0))
+                if yr + xr or yi + xi:
+                    out[j] = (yr + xr, yi + xi)
+                else:
+                    out.pop(j, None)
+        scale *= d
+    den = e * f * d ** p.degree()
+    return [
+        GaussRat(rational(out[j][0], den), rational(out[j][1], den)) if j in out
+        else ZERO
+        for j in range(len(v))
+    ]
+
+
+def _krylov_echelon(cleared, v, base: _Echelon | None = None):
+    """(echelon, p) for A = M / d, cleared = (d, columns of M): the
+    fraction-free echelon of v, Av, ..., A^(k-1) v and the minimal monic p
+    of degree k with p(A) v = 0, or, given the echelon ``base`` of an
+    A-invariant space S, with p(A) v in S (``base`` is left as it is).
+
+    Rows are Gaussian-integer {column: (re, im)} maps; A^i v is kept as
+    M^i V / (f d^i) with v = V / f, and its row carries the scale f d^i
+    in column n + i, so that column holds a row's coefficient of A^i v.
+    Each A^i v is reduced once against the pivots found so far; the
+    first one with nothing left in columns < n is a dependence, and its
+    coefficients divided by that of A^i v are p."""
+    d, columns = cleared
+    n = len(columns)
+    echelon = _Echelon() if base is None else base.copy()
+    scale, vec = _cleared(v)
+    w = {j: (re, im) for j, re, im in vec}
+    for k in itertools.count():
+        row = dict(w)
+        row[n + k] = (scale, 0)
+        row = echelon.reduce(row)
+        if min(row) >= n:
+            lead = row[n + k]
+            return echelon, ExactPoly([
+                _gauss_quotient(row[n + i], lead) if n + i in row else ZERO
+                for i in range(k + 1)
+            ])
+        echelon.add(row)
+        w = _apply(columns, w)
+        scale *= d
+
+
 def _kernel_from_rref(echelon: _Echelon, ncols: int):
     """Null space basis of the first ncols columns, one vector per free
     column in increasing order."""
@@ -515,51 +617,29 @@ def rank(a: ExactMatrix) -> int:
     return len(_rref(_sparse_rows(a)).pivots)
 
 
-def det(a: ExactMatrix) -> GaussRat:
-    """Determinant by Bareiss fraction-free elimination with first-nonzero
-    pivoting, on the rows cleared to Gaussian integers.
+def _permutation_sign(perm) -> int:
+    inversions = sum(p > q for k, p in enumerate(perm) for q in perm[k + 1:])
+    return -1 if inversions % 2 else 1
 
-    Row i is a_i / d_i with a_i over Z[i], so det A = det(a) / prod d_i.
-    Each Bareiss step divides exactly, in Z[i], by the previous pivot
-    (``_exact_divider``: an inexact division is SelfCheckFailed).
-    """
+
+def det(a: ExactMatrix) -> GaussRat:
+    """det A = det(a) / prod d_i for rows a_i / d_i with a_i over Z[i].
+    Once every row of a is a pivot row of its echelon, the echelon's
+    denominator is the minor on the rows in the order added and the pivot
+    columns in the order found: det(a) times the signs of both orders."""
     if not a.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
-    n = a.rows
-    re, im = [], []
-    den = 1
+    n, rows, den = a.rows, [], 1
     for i in range(n):
         d, row = _cleared(a.entries[i * n : (i + 1) * n])
         den *= d
-        row_re, row_im = [0] * n, [0] * n
-        for j, r, m in row:
-            row_re[j], row_im[j] = r, m
-        re.append(row_re)
-        im.append(row_im)
-    sign, pivot = 1, (1, 0)  # the previous pivot
-    for c in range(n):
-        p = next((i for i in range(c, n) if re[i][c] or im[i][c]), None)
-        if p is None:
-            return ZERO
-        if p != c:
-            re[c], re[p], im[c], im[p] = re[p], re[c], im[p], im[c]
-            sign = -sign
-        cr, ci = re[c][c], im[c][c]
-        divide = _exact_divider(pivot)
-        top_re, top_im = re[c], im[c]
-        for i in range(c + 1, n):
-            row_re, row_im = re[i], im[i]
-            fr, fi = row_re[c], row_im[c]
-            for j in range(c + 1, n):
-                # (m_ij * m_cc - m_ic * m_cj) / previous pivot, exact in Z[i]
-                xr = (row_re[j] * cr - row_im[j] * ci
-                      - fr * top_re[j] + fi * top_im[j])
-                xi = (row_re[j] * ci + row_im[j] * cr
-                      - fr * top_im[j] - fi * top_re[j])
-                row_re[j], row_im[j] = divide(xr, xi)
-        pivot = (cr, ci)
-    pr, pi = pivot
-    return GaussRat(rational(sign * pr, den), rational(sign * pi, den))
+        rows.append({j: (re, im) for j, re, im in row})
+    order = sorted(range(n), key=lambda i: len(rows[i]))  # as _rref takes them
+    echelon = _rref([rows[i] for i in order])
+    if len(echelon.pivots) < n:
+        return ZERO
+    sign = _permutation_sign(order) * _permutation_sign(list(echelon.pivots))
+    return _gauss_quotient(echelon.den, (sign * den, 0))
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
@@ -581,14 +661,13 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     pivots = echelon.pivots
     if any(c not in pivots for c in range(n)):
         raise SingularMatrix("matrix is not invertible")
-    dr, di = echelon.den
     flat = []
     for i in range(n):
         row, c = pivots[i], col_den[i]
         for j in range(n):
             if n + j in row:
                 xr, xi = row[n + j]
-                flat.append(_gauss_quotient((c * xr, c * xi), (dr, di)))
+                flat.append(echelon.value((c * xr, c * xi)))
             else:
                 flat.append(ZERO)
     return ExactMatrix(n, n, flat)

@@ -6,11 +6,8 @@ computes invariant factors by the cyclic decomposition (maximal-order
 vector, then recursion on the quotient), giving a second, unrelated route
 to the similarity decision.  Local minimal polynomials, the completed
 basis and the quotient action are read off one incremental echelon of
-Krylov vectors, built by ``matrix``'s fraction-free Gaussian-integer
-elimination: A is cleared to M / d once per call, the vectors A^i v are
-kept as Gaussian-integer vectors M^i V with their scale, and a row's
-coefficient of A^i v is read as its entry in column n + i divided by
-that of the vector being reduced.
+Krylov vectors, which ``matrix`` builds by its fraction-free
+Gaussian-integer elimination (``_krylov_echelon``).
 
 Search outcomes are evidence, never proofs of absence: "exhausted" only
 says no reverser exists whose coefficients come from the height pool.
@@ -28,12 +25,13 @@ from .errors import (
     SelfCheckFailed,
     SpectrumNotSplit,
 )
-from .gaussian import GaussRat, ONE, ZERO, _cleared, rational
+from .gaussian import GaussRat, ONE, ZERO, rational
 from .liecore import LieContext, algebra_member, reverser_linear_space
 from .matrix import (
     ExactMatrix,
-    _Echelon,
-    _gauss_quotient,
+    _cleared_columns,
+    _krylov_echelon,
+    _poly_on_vector,
     char_poly,
     det,
     eigenspaces,
@@ -51,107 +49,6 @@ from .polynomial import ExactPoly, poly_gcd, poly_lcm
 
 def _unit_vector(n: int, k: int):
     return [ONE if i == k else ZERO for i in range(n)]
-
-
-def _cleared_columns(a: ExactMatrix):
-    """(d, columns): a = M / d with M over Z[i] and d the lcm of the
-    denominators of a; column j of M as a list of its nonzero entries
-    (i, re, im)."""
-    n = a.cols
-    d, entries = _cleared(a.entries)
-    columns = [[] for _ in range(n)]
-    for idx, re, im in entries:
-        i, j = divmod(idx, n)
-        columns[j].append((i, re, im))
-    return d, columns
-
-
-def _apply(columns, w: dict) -> dict:
-    """M w for M given by its cleared columns and w a {row: (re, im)}
-    vector of Gaussian integers."""
-    out: dict = {}
-    for j, (wr, wi) in w.items():
-        for i, mr, mi in columns[j]:
-            xr, xi = mr * wr - mi * wi, mr * wi + mi * wr
-            if i in out:
-                yr, yi = out[i]
-                out[i] = (yr + xr, yi + xi)
-            else:
-                out[i] = (xr, xi)
-    return {i: z for i, z in out.items() if z[0] or z[1]}
-
-
-def _poly_on_vector(p: ExactPoly, cleared, v):
-    """p(A) v for A = M / d, cleared = (d, columns of M).
-
-    With p = P / e and v = V / f over Z[i], p(A) v is
-    sum_i P_i d^(deg p - i) M^i V / (e f d^(deg p)); Horner's rule on the
-    Gaussian-integer vectors computes the sum."""
-    d, columns = cleared
-    e, coeffs = _cleared(p.coeffs)
-    f, vec = _cleared(v)
-    coeff = {i: (re, im) for i, re, im in coeffs}
-    out: dict = {}
-    scale = 1  # d^(deg p - i)
-    for i in range(p.degree(), -1, -1):
-        out = _apply(columns, out)
-        if i in coeff:
-            cr, ci = coeff[i]
-            cr, ci = cr * scale, ci * scale
-            for j, vr, vi in vec:
-                xr, xi = cr * vr - ci * vi, cr * vi + ci * vr
-                yr, yi = out.get(j, (0, 0))
-                if yr + xr or yi + xi:
-                    out[j] = (yr + xr, yi + xi)
-                else:
-                    out.pop(j, None)
-        scale *= d
-    den = e * f * d ** p.degree()
-    return [
-        GaussRat(rational(out[j][0], den), rational(out[j][1], den)) if j in out
-        else ZERO
-        for j in range(len(v))
-    ]
-
-
-def _krylov_echelon(cleared, v, base: _Echelon | None = None):
-    """(echelon, p) for A = M / d, cleared = (d, columns of M): the
-    fraction-free echelon of v, Av, ..., A^(k-1) v and the minimal monic p
-    of degree k with p(A) v = 0, or, given the echelon ``base`` of an
-    A-invariant space S, with p(A) v in S (``base`` is left as it is).
-
-    Rows are Gaussian-integer {column: (re, im)} maps; A^i v is kept as
-    M^i V / (f d^i) with v = V / f, and its row carries the scale f d^i
-    in column n + i, so that column holds a row's coefficient of A^i v.
-    Each A^i v is reduced once against the pivots found so far; the
-    first one with nothing left in columns < n is a dependence, and its
-    coefficients divided by that of A^i v are p."""
-    d, columns = cleared
-    n = len(columns)
-    echelon = _Echelon()
-    if base is not None:
-        echelon.pivots = {c: dict(row) for c, row in base.pivots.items()}
-        echelon.den = base.den
-    scale, vec = _cleared(v)
-    w = {j: (re, im) for j, re, im in vec}
-    for k in itertools.count():
-        row = dict(w)
-        row[n + k] = (scale, 0)
-        row = echelon.reduce(row)
-        if min(row) >= n:
-            lead = row[n + k]
-            return echelon, ExactPoly([
-                _gauss_quotient(row[n + i], lead) if n + i in row else ZERO
-                for i in range(k + 1)
-            ])
-        echelon.add(row)
-        w = _apply(columns, w)
-        scale *= d
-
-
-def _local_min_poly(a: ExactMatrix, v):
-    """Minimal monic p with p(a) v = 0 (first Krylov dependence)."""
-    return _krylov_echelon(_cleared_columns(a), v)[1]
 
 
 def _coprime_split(a: ExactPoly, b: ExactPoly):
@@ -217,12 +114,11 @@ def _invariant_chain(a: ExactMatrix):
     # d A e_idx reduces to zero; minus the combination left, over the
     # echelon's denominator times d, is its coordinates
     d, columns = cleared
-    den = (echelon.den[0] * d, echelon.den[1] * d)
     quotient = []
     for idx in chosen:
         row = echelon.reduce({i: (re, im) for i, re, im in columns[idx]})
         quotient.append([
-            _gauss_quotient((-row[c][0], -row[c][1]), den) if c in row else ZERO
+            echelon.value((-row[c][0], -row[c][1]), d) if c in row else ZERO
             for c in range(n + k, 2 * n)
         ])
     rest = _invariant_chain(ExactMatrix.from_columns(quotient))
@@ -288,6 +184,22 @@ def height_pool(height: int):
     return sorted(pool, key=_scalar_order_key)
 
 
+def _scan_pool(height: int, count, limit: int, message: str, read: bool):
+    """The height pool of a scan over count(pool size) candidates, [] if
+    the scan reads none.  The pool holds the (2h+1)^2 Gaussian integers of
+    height h, so a count past ``limit`` at that size is refused, as a lower
+    bound, before any pool is counted or built."""
+    least = count((2 * height + 1) ** 2)
+    if least > limit:
+        raise SearchSpaceTooLarge(message.format(f"at least {least}", limit))
+    if not read:
+        return []
+    total = count(height_pool_size(height))
+    if total > limit:
+        raise SearchSpaceTooLarge(message.format(total, limit))
+    return height_pool(height)
+
+
 @dataclass
 class SearchOutcome:
     found: bool
@@ -332,8 +244,7 @@ def _structured_involutions(x: ExactMatrix, height: int, limit: int):
         spaces = dict(eigenspaces(x, chi))
     except SpectrumNotSplit:
         raise _StructuredInapplicable from None
-    zero = GaussRat.from_int(0)
-    kernel_basis = spaces.get(zero, [])
+    kernel_basis = spaces.get(ZERO, [])
     if len(kernel_basis) > 1:
         raise _StructuredInapplicable
     reps = []
@@ -348,16 +259,18 @@ def _structured_involutions(x: ExactMatrix, height: int, limit: int):
             return
         reps.append(lam)
     block_sizes = [len(spaces[lam]) for lam in reps]
-    size = height_pool_size(height)  # the pool holds zero once
-    total = 1
-    for k in block_sizes:
-        total *= (size if k > 1 else size - 1) ** (k * k)
-    total *= 2 if kernel_basis else 1
-    if total > limit:
-        raise SearchSpaceTooLarge(
-            f"structured involution space has {total} candidates (limit {limit})"
-        )
-    pool = height_pool(height)
+
+    def count(size):  # the pool holds zero once
+        total = 2 if kernel_basis else 1
+        for k in block_sizes:
+            total *= (size if k > 1 else size - 1) ** (k * k)
+        return total
+
+    pool = _scan_pool(
+        height, count, limit,
+        "structured involution space has {} candidates (limit {})",
+        bool(block_sizes),
+    )
     nonzero_pool = [c for c in pool if not c.is_zero()]
     columns = []
     for lam in reps:
@@ -469,12 +382,10 @@ def search_reverser(
         except _StructuredInapplicable:
             pass
     basis = reverser_linear_space(x)
-    total = height_pool_size(height) ** len(basis)
-    if total > candidate_limit:
-        raise SearchSpaceTooLarge(
-            f"{total} candidates exceed the limit {candidate_limit}"
-        )
-    pool = height_pool(height)
+    pool = _scan_pool(
+        height, lambda size: size ** len(basis), candidate_limit,
+        "{} candidates exceed the limit {}", bool(basis),
+    )
     checked = 0
     n = x.rows
     for combo in itertools.product(pool, repeat=len(basis)):

@@ -33,14 +33,16 @@ from .jordan import jordan_chevalley
 from .liecore import LieContext, algebra_member, jn_matrix, kernel
 from .matrix import (
     ExactMatrix,
+    _cleared_columns,
     _cleared_dict,
     _Echelon,
+    _krylov_echelon,
+    _poly_on_vector,
     char_poly,
     det,
     eigenspaces,
     inverse,
 )
-from .oracle import _cleared_columns, _krylov_echelon, _poly_on_vector
 from .semisimple import (
     _bilinear,
     _dual_basis,

@@ -4,6 +4,7 @@ verification of produced certificates."""
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -104,6 +105,70 @@ def test_witness_with_64_bit_prime_eigenvalues_is_fast(tmp_path):
     )
     assert run.returncode == 0
     assert json.loads(run.stdout)["verified"] is True
+
+
+def test_results_past_the_int_digit_limit_round_trip(tmp_path):
+    """[[3, -6a], [0, -3]] in sl(2) with a = 10^3000 + 7: the reverser has
+    entries of about 6,000 digits, past the 4,300 digits to which Python
+    caps int <-> str conversion by default.  witness still prints its
+    certificate and verify parses it back."""
+    a = 10**3000 + 7
+    x = ExactMatrix.from_rows([[3, -6 * a], [0, -3]])
+    mfile = _matrix_file(tmp_path, "x.json", x)
+    cert_file = str(tmp_path / "cert.json")
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", "witness", "--ctx", SL2_CTX,
+         "--matrix", mfile, "--out", cert_file],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    entries = json.loads(run.stdout)["reverser"]["entries"]
+    assert max(len(e) for row in entries for e in row) > 4300
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", "verify", cert_file],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["verified"] is True
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _search_in_one_gib(*argv):
+    run = subprocess.run(
+        [sys.executable, "-m", "adjreal.cli", "search", *argv],
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_one_gib_address_space,
+    )
+    assert "Traceback" not in run.stderr
+    return run.returncode, json.loads(run.stdout)
+
+
+def test_search_builds_no_pool_for_an_empty_anticommutant():
+    """diag(1, 2) in gl(2) anticommutes only with 0: one candidate, and no
+    height pool (about 2.4e13 scalars at height 2000) to read."""
+    code, out = _search_in_one_gib(
+        "--ctx", '{"algebra":"gl","group":"GL","n":2}',
+        "--matrix", '{"rows":2,"cols":2,"entries":[["1","0"],["0","2"]]}',
+        "--height", "2000",
+    )
+    assert code == 1
+    assert out["outcome"] == "exhausted"
+    assert out["candidates_checked"] == 1
+
+
+def test_search_refuses_a_huge_pool_before_counting_it():
+    """At height 100000 the (2h+1)^2 Gaussian integers alone put the
+    involution count past the limit, so nothing is counted or built."""
+    code, out = _search_in_one_gib(
+        "--ctx", SL2_CTX,
+        "--matrix", '{"rows":2,"cols":2,"entries":[["1","0"],["0","-1"]]}',
+        "--height", "100000", "--involution",
+    )
+    assert code == 2
+    assert out["error"] == "SearchSpaceTooLarge"
 
 
 def test_verify_tampered_certificate_exit_two(tmp_path, capsys):

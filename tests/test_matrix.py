@@ -1,5 +1,7 @@
 """Exact linear algebra: solving, invariant factors, similarity."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -290,7 +292,7 @@ def _naive_product(a, b):
 
 def _reference_det(a):
     """Elimination over GaussRat with first-nonzero pivoting: the
-    determinant the Bareiss kernel must match."""
+    determinant the echelon must match."""
     n = a.rows
     rows = [a.row_list(i) for i in range(n)]
     out = ONE
@@ -331,7 +333,7 @@ def test_det_matches_reference_elimination(data, n):
 
 def test_det_row_swaps_and_imaginary_pivots():
     # a zero leading entry forces a swap; imaginary pivots make the
-    # Bareiss divisions non-real
+    # echelon's divisions non-real
     a = ExactMatrix.from_rows([
         [ZERO, I, gr("1/2")],
         [gr(0, 2), ONE, gr(3, -1)],
@@ -340,6 +342,65 @@ def test_det_row_swaps_and_imaginary_pivots():
     assert det(a) == _reference_det(a)
     assert det(ExactMatrix.zeros(0)) == ONE
     assert det(ExactMatrix.from_rows([[ZERO, ONE], [ONE, ZERO]])) == gr(-1)
+
+
+def _cycle_sign(perm):
+    """(-1)^(n - number of cycles) of i -> perm[i]."""
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            if i not in seen:
+                sign = -sign
+    return sign
+
+
+def test_det_of_scaled_permutations_pins_both_orders(rng):
+    """Every permutation matrix P up to 5x5, as D U P: rows scaled by
+    nonzero Gaussian rationals (D) and some rows given extra entries by a
+    unit upper triangular U, so that short rows are not all first and the
+    echelon takes the rows in another order than given.  det = sign(P)
+    times the product of the scales, whatever the two orders."""
+    scales = [s for s in SMALL_SCALARS if not s.is_zero()] + [gr("-2/3", "5/7")]
+    parities = set()
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            d = [rng.choice(scales) for _ in range(n)]
+            rows = []
+            for i in range(n):
+                row = [ZERO] * n
+                row[perm[i]] = d[i]
+                if rng.random() < 0.5:
+                    for j in range(i + 1, n):  # d_i times row j of P
+                        row[perm[j]] = d[i] * rng.choice(scales)
+                rows.append(row)
+            expected = ONE * _cycle_sign(perm)
+            for s in d:
+                expected = expected * s
+            assert det(ExactMatrix.from_rows(rows)) == expected
+            lengths = [sum(not e.is_zero() for e in row) for row in rows]
+            order = sorted(range(n), key=lambda i: lengths[i])
+            parities.add(_cycle_sign(order))
+    assert parities == {1, -1}  # the row order was odd and even
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, I], [0, I, 4], [1, gr(2, 2), gr(8, 1)]],  # row 3 = row 1 + 2 row 2
+        [[1, gr(2, 2), gr(8, 1)], [1, 2, I], [0, I, 4]],  # row 1 = row 2 + 2 row 3
+        [[1, 2, I], [0, I, 4], [0, 0, 0]],  # a zero row, taken first
+        [[0, 0, 0], [1, 2, I], [0, I, 4]],
+        [[1, 2], [gr("1/2"), 1]],  # rows that clear to the same one
+    ],
+    ids=["dependent-last", "dependent-first", "zero-last", "zero-first", "scaled"],
+)
+def test_det_of_singular_matrices(rows):
+    a = ExactMatrix.from_rows(rows)
+    assert det(a) == ZERO
+    assert det(a) == _reference_det(a)
 
 
 # The fraction-free engine against the Gauss-Jordan elimination over

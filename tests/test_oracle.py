@@ -11,6 +11,7 @@ from adjreal.gaussian import GaussRat, I, ONE, ZERO, gr
 from adjreal.liecore import LieContext, so_block
 from adjreal.matrix import (
     ExactMatrix,
+    _krylov_echelon,
     char_poly,
     det,
     eigenspaces,
@@ -22,7 +23,6 @@ from adjreal.oracle import (
     BiPoly,
     _cleared_columns,
     _coprime_split,
-    _local_min_poly,
     _poly_on_vector,
     _sym_mul_2x2,
     enumerate_involutive_reversers,
@@ -66,6 +66,11 @@ def test_rcf_agrees_with_smith_factors(rng):
         n = rng.randrange(2, 6)
         a = ExactMatrix(n, n, [rng.choice(SMALL_SCALARS) for _ in range(n * n)])
         assert rcf_invariant_factors(a) == invariant_factors(a)
+
+
+def _local_min_poly(a, v):
+    """Minimal monic p with p(a) v = 0: the first Krylov dependence."""
+    return _krylov_echelon(_cleared_columns(a), v)[1]
 
 
 def _reference_local_min_poly(a, v):

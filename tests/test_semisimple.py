@@ -474,7 +474,7 @@ def test_witness_dense_sl30_is_pinned():
 
 def test_self_checks_survive_python_optimize():
     """The helpers' internal checks, the exact Gaussian-integer divisions
-    of the elimination and of det, and the two checks of the
+    of the elimination (directly and through det), and the two checks of the
     Jordan-Chevalley Newton iteration raise SelfCheckFailed, not
     AssertionError or ArithmeticError, and python -O keeps them."""
     code = (
@@ -491,7 +491,7 @@ def test_self_checks_survive_python_optimize():
         "    echelon.add({1: (1, 0), 2: (1, 0)})\n"
         "def wrong_pivot():\n"
         "    right = m._exact_divider\n"
-        "    m._exact_divider = lambda d: right((d[0] + 1, d[1]))  # corrupt\n"
+        "    m._exact_divider = lambda d: right((2 * d[0] + 1, 2 * d[1]))  # corrupt\n"
         "    try:\n"
         "        m.det(ExactMatrix.from_rows([[1, 2, 0], [3, 1, 1], [0, 1, 2]]))\n"
         "    finally:\n"

@@ -232,19 +232,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact values may run past Python's int <-> str digit limit (4,300
-    # by default, where it exists); lift it while main runs
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
-
-
-def _main(argv) -> int:
     out = None
     try:
         args = _parser().parse_args(argv)

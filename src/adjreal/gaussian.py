@@ -6,7 +6,9 @@ denominator, so equality is plain structural equality and every
 operation is exact.
 
 The wire format is the string grammar ``a/b+c/d*i`` ("1/2-3*i", "2", "-i"
-and friends); :func:`GaussRat.parse` and ``str()`` round-trip it.
+and friends); :func:`GaussRat.parse` and ``str()`` round-trip it at any
+number of digits, converting long digit runs in chunks below Python's
+int <-> str digit limit.
 """
 
 from __future__ import annotations
@@ -35,8 +37,39 @@ _SCALAR = re.compile(
 )
 
 
-def _signed_rational(sign: str, digits: str):
-    value = _Q(digits)
+# Digits per int <-> str conversion: Python (3.11+) refuses longer runs
+# when its digit limit is on, and no setting of that limit is below 640.
+_CHUNK = 640
+_CHUNK_BASE = 10**_CHUNK
+
+
+def _int_of_digits(digits: str) -> int:
+    value = 0
+    for k in range(0, len(digits), _CHUNK):
+        chunk = digits[k : k + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _digits_of_int(n: int) -> str:
+    if n < 0:
+        return "-" + _digits_of_int(-n)
+    chunks = []
+    while n >= _CHUNK_BASE:
+        n, low = divmod(n, _CHUNK_BASE)
+        chunks.append(f"{low:0{_CHUNK}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _rational_text(q) -> str:
+    text = _digits_of_int(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_digits_of_int(q.denominator)}"
+
+
+def _signed_rational(sign: str, text: str):
+    num, _, den = text.partition("/")
+    value = _Q(_int_of_digits(num), _int_of_digits(den) if den else 1)
     return -value if sign == "-" else value
 
 
@@ -73,7 +106,7 @@ class GaussRat:
                 _R_ZERO if im_sign is None
                 else _signed_rational(im_sign, im_abs or "1")
             )
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ParseError(f"not a Gaussian rational: {text!r}") from exc
         return GaussRat(real, imag)
 
@@ -176,9 +209,9 @@ class GaussRat:
             return "0"
         parts = []
         if self.re:
-            parts.append(str(self.re))
+            parts.append(_rational_text(self.re))
         if self.im:
-            mag = f"{abs(self.im)}*i"
+            mag = f"{_rational_text(abs(self.im))}*i"
             if not parts:
                 parts.append(mag if self.im > 0 else "-" + mag)
             else:

@@ -135,18 +135,33 @@ def group_failure(g: ExactMatrix, ctx: LieContext) -> str | None:
             return "Invertibility(det g = 0)"
         return None if ctx.group == "GL" or d == 1 else "GroupMembership(det g != 1)"
     if ctx.group in ("O", "SO"):
-        form, failure = ExactMatrix.identity(size), "GroupMembership(g^t g != I)"
-        image = g
+        failure = "GroupMembership(g^t g != I)"
+        holds = g.transpose() * g == ExactMatrix.identity(size)
     else:
-        form, failure = jn_matrix(ctx.n), "GroupMembership(g^t J g != J)"
-        # J g: the lower half of g's rows, negated, over the upper half
-        n, rows = ctx.n, g.entries
-        image = ExactMatrix(size, size, [-v for v in rows[n * size:]] + list(rows[: n * size]))
-    if g.transpose() * image != form:
+        failure = "GroupMembership(g^t J g != J)"
+        holds = _preserves_j(g, ctx.n)
+    if not holds:
         return "Invertibility(det g = 0)" if det(g).is_zero() else failure
     if ctx.group == "SO" and det(g) != 1:
         return "GroupMembership(det g != 1)"
     return None
+
+
+def _preserves_j(g: ExactMatrix, n: int) -> bool:
+    """g^t J g = J for a g of size 2n.  With U and L the upper and lower
+    halves of g's rows, J g stacks -L over U, so g^t J g = K - K^t for
+    K = L^t U, a product of inner size n.  K - K^t is antisymmetric, so it
+    equals J once it does above the diagonal, where J is -1 at (k, n + k)
+    and 0 elsewhere."""
+    size, rows = 2 * n, g.entries
+    k = ExactMatrix(n, size, rows[n * size:]).transpose() * ExactMatrix(
+        n, size, rows[: n * size]
+    )
+    return all(
+        k[j, i] == (k[i, j] + ONE if j == i + n else k[i, j])
+        for i in range(size)
+        for j in range(i + 1, size)
+    )
 
 
 def group_member(g: ExactMatrix, ctx: LieContext) -> bool:

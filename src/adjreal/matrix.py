@@ -33,7 +33,7 @@ from .errors import (
     SpectrumNotSplit,
 )
 from .gaussian import ONE, ZERO, GaussRat, _cleared, rational
-from .polynomial import ExactPoly, linear_roots, squarefree_part
+from .polynomial import ExactPoly, linear_roots, squarefree_part, squarefree_roots
 
 
 def json_int(value, what: str) -> int:
@@ -926,15 +926,21 @@ def is_semisimple(x: ExactMatrix, chi: ExactPoly | None = None) -> bool:
 
 def eigenspaces(x: ExactMatrix, chi: ExactPoly):
     """[(lam, kernel basis of X - lam)] for the distinct eigenvalues lam of
-    X, whose characteristic polynomial is chi, sorted by GaussRat.lex_key;
-    raises SpectrumNotSplit when chi has an irrational factor."""
-    roots, cofactor = linear_roots(chi)
-    if cofactor.degree() > 0:
+    X, whose characteristic polynomial is chi, sorted by GaussRat.lex_key.
+
+    The eigenvalues are the roots of chi's squarefree part q, which splits
+    exactly when it has deg q of them in Q(i); otherwise SpectrumNotSplit
+    names chi's rootless cofactor.  The kernels are not checked to span
+    C^n, so X need not be diagonalizable.
+    """
+    q = squarefree_part(chi)
+    roots = squarefree_roots(q)
+    if len(roots) < q.degree():
+        _, cofactor = linear_roots(chi)
         raise SpectrumNotSplit(
             f"characteristic polynomial has irrational factor {cofactor}"
         )
-    distinct = sorted(set(roots), key=GaussRat.lex_key)
-    return [(lam, kernel(x.plus_scalar(-lam))) for lam in distinct]
+    return [(lam, kernel(x.plus_scalar(-lam))) for lam in roots]
 
 
 def is_nilpotent(x: ExactMatrix) -> bool:

@@ -35,9 +35,7 @@ from .matrix import (
     char_poly,
     det,
     eigenspaces,
-    hessenberg,
     inverse,
-    is_semisimple,
 )
 from .polynomial import ExactPoly, poly_gcd, poly_lcm
 
@@ -236,14 +234,12 @@ def _structured_involutions(x: ExactMatrix, height: int, limit: int):
     Yields (det, builder) pairs; the determinant comes from the exact
     block formula det r = (-1)^{sum of pair multiplicities} * kernel sign.
     """
-    h = hessenberg(x)
-    chi = char_poly(h)
-    if not is_semisimple(h, chi):
-        raise _StructuredInapplicable
     try:
-        spaces = dict(eigenspaces(x, chi))
+        spaces = dict(eigenspaces(x, char_poly(x)))
     except SpectrumNotSplit:
         raise _StructuredInapplicable from None
+    if sum(len(basis) for basis in spaces.values()) != x.rows:
+        raise _StructuredInapplicable  # not diagonalizable
     kernel_basis = spaces.get(ZERO, [])
     if len(kernel_basis) > 1:
         raise _StructuredInapplicable

@@ -188,12 +188,98 @@ class ExactPoly:
         return ExactPoly([GaussRat.parse(s) for s in data])
 
 
+def _primitive(p: ExactPoly):
+    """p cleared to Gaussian-integer coefficients and divided by their
+    content: lists (re, im) of Python ints, lowest degree first."""
+    _, nonzero = _cleared(p.coeffs)
+    re, im = [0] * len(p.coeffs), [0] * len(p.coeffs)
+    for k, a, b in nonzero:
+        re[k], im[k] = a, b
+    return _without_content(re, im)
+
+
+def _gaussian_gcd(ar, ai, br, bi):
+    """A gcd in Z[i] of ar + ai*i and br + bi*i, by Euclid with the
+    quotient rounded to the nearest Gaussian integer."""
+    while br or bi:
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
+
+
+def _without_content(re, im):
+    """The nonzero Gaussian-integer polynomial re + im*i divided by the gcd
+    in Z[i] of its coefficients.  The content of a pseudo-remainder
+    carries powers of the divisor's lead, and those are Gaussian primes
+    such as 2 + i as often as rational integers."""
+    cr, ci = 0, 0
+    for x, y in zip(re, im):
+        cr, ci = _gaussian_gcd(x, y, cr, ci)
+        n = cr * cr + ci * ci
+        if n == 1:
+            return re, im
+    return (
+        [(x * cr + y * ci) // n for x, y in zip(re, im)],
+        [(y * cr - x * ci) // n for x, y in zip(re, im)],
+    )
+
+
+def _pseudo_remainder(re, im, bre, bim):
+    """A Gaussian-integer multiple of a mod b, empty when b divides a, for
+    a = re + im*i and b = bre + bim*i (lists as from _primitive, b of
+    degree >= 1): each
+    step replaces a by (lc(b) a - lc(a) t^s b) / c, c the integer gcd of
+    the two leading coefficients' parts, which cancels a's lead."""
+    re, im = list(re), list(im)
+    n = len(bre) - 1
+    while len(re) > n:
+        ar, ai = re.pop(), im.pop()
+        if not (ar or ai):
+            continue
+        c = math.gcd(ar, ai, bre[-1], bim[-1])
+        ar, ai, lr, li = ar // c, ai // c, bre[-1] // c, bim[-1] // c
+        if li or lr != 1:
+            for k, (x, y) in enumerate(zip(re, im)):
+                re[k], im[k] = lr * x - li * y, lr * y + li * x
+        s = len(re) - n
+        for j in range(n):
+            x, y = bre[j], bim[j]
+            re[s + j] -= ar * x - ai * y
+            im[s + j] -= ar * y + ai * x
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    return re, im
+
+
 def poly_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd; gcd(0, 0) = 0.
+
+    A primitive polynomial remainder sequence over Z[i] (Brown, JACM 18,
+    1971): both arguments are cleared to Gaussian-integer coefficients,
+    pseudo-remainders are taken in Python ints, and each remainder is
+    divided by its content, the gcd in Z[i] of its coefficients.  The last
+    nonzero remainder is made monic once; the monic gcd is unique, so it
+    equals Euclid's over Q(i)."""
+    if p.is_zero() or q.is_zero():
+        return (q if p.is_zero() else p).monic()
+    a, b = _primitive(p), _primitive(q)
+    if len(a[0]) < len(b[0]):
+        a, b = b, a
+    while len(b[0]) > 1:  # deg b >= 1
+        a, b = b, _pseudo_remainder(*a, *b)
+        if not b[0]:
+            re, im = a
+            lr, li = re[-1], im[-1]
+            norm = lr * lr + li * li
+            return ExactPoly([
+                GaussRat(rational(x * lr + y * li, norm), rational(y * lr - x * li, norm))
+                for x, y in zip(re, im)
+            ])
+        b = _without_content(*b)
+    return ExactPoly.one()  # a nonzero constant remainder
 
 
 def poly_xgcd(p: ExactPoly, q: ExactPoly):
@@ -327,20 +413,60 @@ def _shortest(q: int, iota: int):
         a, b = b, a
 
 
+def squarefree_roots(g: ExactPoly):
+    """The roots in Q(i) of the monic squarefree polynomial g, sorted by
+    the (re, im) key.
+
+    g, cleared to Gaussian-integer coefficients with integer lead a, has
+    a*r in Z[i] with |a*r| <= a*B for each root r in Q(i) (B the Fujiwara
+    bound).  Modulo a split prime p at which g's roots are simple, every
+    such root is one of g's roots mod p; each of those is Newton-lifted to
+    q = p^k > 4 a^2 B^2.  With i -> iota mod q, the Gaussian integers that
+    vanish mod q form the k-th power of a prime ideal above p, a square
+    lattice of side sqrt(q), so a*r is the one point of its residue class
+    within sqrt(q)/2 of 0: rounding in the reduced basis u, i*u recovers
+    it.  A candidate z = a*r is kept only if g(z/a) = 0 exactly, tested
+    as sum_k a*g_k z^k a^(d-k) = 0 in Python ints.
+    """
+    if g.degree() < 1:
+        return []
+    a, nonzero = _cleared(g.coeffs)
+    gcoeffs = [(0, 0)] * len(g.coeffs)
+    for k, re, im in nonzero:
+        gcoeffs[k] = (re, im)
+    prime, iota, residues = _split_prime(gcoeffs, a)
+    q, limit = prime, 4 * (a * _root_bound(gcoeffs)) ** 2
+    while q <= limit:
+        q *= prime
+    iota = _newton([1, 0, 1], iota, q)
+    cs = [(re + im * iota) % q for re, im in gcoeffs]
+    ur, ui = _shortest(q, iota)
+    roots = []
+    for x in residues:
+        t = a * _newton(cs, x, q) % q
+        # z = t - m*u with m = t/u rounded, u*conj(u) = q
+        mr = (2 * t * ur + q) // (2 * q)
+        mi = (-2 * t * ui + q) // (2 * q)
+        zr, zi = t - mr * ur + mi * ui, -mr * ui - mi * ur
+        # homogeneous Horner: v = sum_k gcoeffs[k] z^k a^(d-k)
+        vr, vi = gcoeffs[-1]
+        scale = 1
+        for cr, ci in reversed(gcoeffs[:-1]):
+            scale *= a
+            vr, vi = vr * zr - vi * zi + cr * scale, vr * zi + vi * zr + ci * scale
+        if not (vr or vi):
+            roots.append(GaussRat(rational(zr, a), rational(zi, a)))
+    roots.sort(key=GaussRat.lex_key)
+    return roots
+
+
 def linear_roots(p: ExactPoly):
     """All roots of p lying in Q(i), with multiplicity, plus the rootless
     cofactor; the (x - root) factors times the cofactor reproduce p exactly.
 
-    The squarefree part g of p, cleared to Gaussian-integer coefficients
-    with integer lead a, has a*r in Z[i] with |a*r| <= a*B for each root
-    r in Q(i) (B the Fujiwara bound).  Modulo a split prime p at which
-    g's roots are simple, every such root is one of g's roots mod p; each
-    of those is Newton-lifted to q = p^k > 4 a^2 B^2.  With i -> iota mod
-    q, the Gaussian integers that vanish mod q form the k-th power of a
-    prime ideal above p, a square lattice of side sqrt(q), so a*r is the
-    one point of its residue class within sqrt(q)/2 of 0: rounding in the
-    reduced basis u, i*u recovers it.  A candidate is kept only if it is
-    a root of p exactly.  Roots are returned sorted by the (re, im) key.
+    Powers of x are stripped first; the other roots are those of the
+    squarefree part (``squarefree_roots``), each divided out of p as often
+    as it goes.  Roots are returned sorted by the (re, im) key.
     """
     if p.is_zero():
         raise ZeroDivisionError("roots of the zero polynomial requested")
@@ -351,28 +477,12 @@ def linear_roots(p: ExactPoly):
         roots.append(ZERO)
         work = ExactPoly(work.coeffs[1:])
     if work.degree() >= 1:
-        g = squarefree_part(work).coeffs
-        a, nonzero = _cleared(g)
-        gcoeffs = [(0, 0)] * len(g)
-        for k, re, im in nonzero:
-            gcoeffs[k] = (re, im)
-        prime, iota, residues = _split_prime(gcoeffs, a)
-        q, limit = prime, 4 * (a * _root_bound(gcoeffs)) ** 2
-        while q <= limit:
-            q *= prime
-        iota = _newton([1, 0, 1], iota, q)
-        cs = [(re + im * iota) % q for re, im in gcoeffs]
-        ur, ui = _shortest(q, iota)
-        for x in residues:
-            t = a * _newton(cs, x, q) % q
-            # z = t - m*u with m = t/u rounded, u*conj(u) = q
-            mr = (2 * t * ur + q) // (2 * q)
-            mi = (-2 * t * ui + q) // (2 * q)
-            cand = GaussRat(
-                rational(t - mr * ur + mi * ui, a), rational(-mr * ui - mi * ur, a)
-            )
-            while work.degree() >= 1 and work(cand).is_zero():
-                roots.append(cand)
-                work = work // ExactPoly((-cand, ONE))
+        for r in squarefree_roots(squarefree_part(work)):
+            while True:
+                quo, rem = divmod(work, ExactPoly((-r, ONE)))
+                if not rem.is_zero():
+                    break
+                roots.append(r)
+                work = quo
     roots.sort(key=GaussRat.lex_key)
     return roots, work

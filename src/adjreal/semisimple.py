@@ -9,7 +9,11 @@ polynomial, and never leave Q(i).
 ``witness_semisimple`` builds an explicit certified reverser for canonical
 block forms; ``witness_general_semisimple`` conjugates an arbitrary
 diagonalizable element to canonical shape first (requires the spectrum to
-split over Q(i)) and transports the canonical witness back.
+split over Q(i)) and transports the canonical witness back.  Its
+eigenvalues are the roots of chi's squarefree part, and when chi splits
+its eigenspaces also settle diagonalizability (their dimensions add up to
+n), so the Horner test of ``is_semisimple`` runs only in ``decide`` and
+when chi does not split.
 
 Verdict reason vocabulary: ZeroElement, SpectrumAsymmetric,
 SpectrumSymmetric, ZeroEigenvalue, NMod4, OrthogonalAlwaysStrong,
@@ -29,6 +33,7 @@ from .errors import (
     ParseError,
     SelfCheckFailed,
     SizeMismatch,
+    SpectrumNotSplit,
 )
 from .gaussian import I, ONE, ZERO, GaussRat
 from .liecore import (
@@ -83,17 +88,17 @@ class RealityVerdict:
             raise ParseError(f"bad verdict JSON: {exc}") from exc
 
 
-def _require_semisimple_member(x: ExactMatrix, ctx: LieContext) -> ExactPoly:
-    """Check that x is a diagonalizable element of the context algebra and
-    return its characteristic polynomial, the only spectral data the
-    verdicts and witnesses need."""
+def _member_char_poly(x: ExactMatrix, ctx: LieContext):
+    """Check that x is an element of the context algebra and return its
+    Hessenberg form and characteristic polynomial, the only spectral data
+    the verdicts and witnesses need."""
     if not algebra_member(x, ctx):
         raise AlgebraMismatch(f"element is not in {ctx.algebra}({ctx.n})")
     h = hessenberg(x)
-    chi = char_poly(h)
-    if not is_semisimple(h, chi):
-        raise NotSemisimple("element is not diagonalizable")
-    return chi
+    return h, char_poly(h)
+
+
+_NOT_DIAGONALIZABLE = "element is not diagonalizable"
 
 
 def _nonzero_multiplicities_even(chi: ExactPoly) -> bool:
@@ -146,7 +151,9 @@ def _spectral_verdict(chi: ExactPoly, ctx: LieContext) -> RealityVerdict:
 
 def decide_semisimple(x: ExactMatrix, ctx: LieContext) -> RealityVerdict:
     """Reality verdict for a semisimple element under the context group."""
-    chi = _require_semisimple_member(x, ctx)
+    h, chi = _member_char_poly(x, ctx)
+    if not is_semisimple(h, chi):
+        raise NotSemisimple(_NOT_DIAGONALIZABLE)
     if x.is_zero():
         cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, True)
         return RealityVerdict(YES, YES, "ZeroElement", cert)
@@ -488,13 +495,23 @@ def witness_general_semisimple(
     Builds an algebra-compatible eigenbasis S with x = S C S^-1 for the
     canonical C, takes the canonical reverser of C, and conjugates it back.
     The verdict comes from the characteristic polynomial of x, which C
-    shares; only the final certificate is verified.
+    shares; only the final certificate is verified.  When chi splits, x is
+    diagonalizable exactly when its eigenspaces span C^n; only when it
+    does not split is the Horner test run, so that NotSemisimple still
+    wins over SpectrumNotSplit.
     """
-    chi = _require_semisimple_member(x, ctx)
+    h, chi = _member_char_poly(x, ctx)
     if x.is_zero():
         cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, want_involution)
         return _verified(cert, "identity witness of the zero element")
-    eigen = eigenspaces(x, chi)
+    try:
+        eigen = eigenspaces(x, chi)
+    except SpectrumNotSplit:
+        if not is_semisimple(h, chi):
+            raise NotSemisimple(_NOT_DIAGONALIZABLE) from None
+        raise
+    if sum(len(basis) for _, basis in eigen) != x.rows:
+        raise NotSemisimple(_NOT_DIAGONALIZABLE)
     _require_granted(_spectral_verdict(chi, ctx), want_involution)
     if ctx.algebra in ("gl", "sl"):
         values, columns = [], []

@@ -1,6 +1,7 @@
 """Membership predicates, canonical forms, centralizers, anticommutants."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjreal.errors import ParseError, SizeMismatch
 from adjreal.gaussian import I, ONE, ZERO, gr
@@ -16,6 +17,8 @@ from adjreal.liecore import (
     so_block,
 )
 from adjreal.matrix import ExactMatrix, det, inverse, is_invertible
+
+from conftest import SMALL_SCALARS
 
 
 def test_context_compatibility():
@@ -307,3 +310,37 @@ def test_group_failure_matches_product_form(rng):
         None, "Invertibility(det g = 0)", "GroupMembership(det g != 1)",
         "GroupMembership(g^t g != I)", "GroupMembership(g^t J g != J)",
     }
+
+
+@st.composite
+def _symplectic_candidates(draw):
+    """A product of symplectic shears I + t E (E a square-zero element of
+    the sp basis), a dense matrix, or either with one entry moved."""
+    from adjreal.symplectic import sp_basis
+
+    n = draw(st.integers(1, 3))
+    size = 2 * n
+    if draw(st.booleans()):
+        g = ExactMatrix.identity(size)
+        basis = [e for e in sp_basis(n) if (e * e).is_zero()]
+        for _ in range(draw(st.integers(0, 4))):
+            e = draw(st.sampled_from(basis))
+            g = g * (ExactMatrix.identity(size) + e.scale(draw(st.sampled_from(SMALL_SCALARS))))
+    else:
+        g = ExactMatrix(size, size, draw(st.lists(
+            st.sampled_from(SMALL_SCALARS), min_size=size * size, max_size=size * size)))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        g = g.with_entry(i, j, g[i, j] + draw(st.sampled_from(SMALL_SCALARS[1:])))
+    return n, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symplectic_candidates(), st.sampled_from(["Sp", "PSp"]))
+def test_symplectic_group_failure_matches_dense_form(case, group):
+    """group_failure's K = L^t U test against the dense g^t J g = J."""
+    from adjreal.liecore import group_failure
+
+    n, g = case
+    ctx = LieContext("sp", group, n)
+    assert group_failure(g, ctx) == _group_failure_by_products(g, ctx)

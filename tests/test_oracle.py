@@ -19,11 +19,14 @@ from adjreal.matrix import (
     inverse,
     solve_linear,
 )
+from adjreal import matrix
 from adjreal.oracle import (
     BiPoly,
+    _StructuredInapplicable,
     _cleared_columns,
     _coprime_split,
     _poly_on_vector,
+    _structured_involutions,
     _sym_mul_2x2,
     enumerate_involutive_reversers,
     height_pool,
@@ -37,7 +40,7 @@ from adjreal.oracle import (
 from adjreal.polynomial import ExactPoly, poly_gcd, poly_lcm
 
 from conftest import SMALL_SCALARS, conjugated_jordan_matrices
-from test_semisimple import _dense_sl
+from test_semisimple import _J2, _ROOT2, _companion, _dense_sl
 
 
 def test_rcf_similar_diagonal_permutation():
@@ -222,6 +225,30 @@ def test_search_space_guard():
     x = ExactMatrix.zeros(3)  # anticommutant is all of gl(3): 9 dims
     with pytest.raises(SearchSpaceTooLarge):
         search_reverser(x, LieContext("gl", "GL", 3), 2, False)
+
+
+@pytest.mark.parametrize(
+    "x, checked",
+    [
+        (ExactMatrix.block_diagonal([_J2, -_J2]), 83),
+        (ExactMatrix.block_diagonal([ExactMatrix.diagonal([1, -1]), _ROOT2]), 812),
+        (_companion([4, 0, -4, 0]), 2),
+    ],
+    ids=["not-diagonalizable", "not-split", "neither"],
+)
+def test_structured_search_refuses_without_horner(monkeypatch, x, checked):
+    """A non-diagonalizable X or an irrational spectrum sends the involution
+    search from the eigenspace enumeration to the general scan; the
+    eigenspaces decide both, and the Horner test never runs."""
+    def horner(*args):
+        raise AssertionError("is_semisimple called")
+
+    monkeypatch.setattr(matrix, "is_semisimple", horner)
+    with pytest.raises(_StructuredInapplicable):
+        next(_structured_involutions(x, 1, 300000))
+    out = search_reverser(x, LieContext("sl", "SL", 4), 1, True)
+    assert out.found and out.candidates_checked == checked
+    assert verify_certificate(out.certificate).ok
 
 
 def test_census_rank_two():

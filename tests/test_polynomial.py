@@ -13,6 +13,7 @@ from adjreal.polynomial import (
     poly_xgcd,
     squarefree_decomposition,
     squarefree_part,
+    squarefree_roots,
 )
 
 X = ExactPoly.x_power(1)
@@ -61,6 +62,56 @@ def test_gcd_divides_both_inputs(p, q):
     assert (p % g).is_zero()
     assert (q % g).is_zero()
     assert g.leading() == ONE
+
+
+def _euclid_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
+    """Reference: the monic gcd by Euclid's algorithm over Q(i)."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+# contents made of Gaussian primes (1+i, 2+i, 1-2i, 3) and denominators
+_CONTENTS = st.builds(
+    lambda g, k, d: g**k * gr(rational(1, d)),
+    st.sampled_from([gr(1, 1), gr(2, 1), gr(1, -2), gr(3)]),
+    st.integers(0, 8),
+    st.sampled_from([1, 2, 3, 10]),
+)
+
+
+@given(small_polys(3), small_polys(3), small_polys(3), _CONTENTS, _CONTENTS)
+@settings(max_examples=80, deadline=None)
+def test_prs_gcd_matches_euclid_on_shared_factors(f, a, b, ca, cb):
+    for p, q in ((f * a.scale(ca), f * f * b.scale(cb)), (a.scale(ca), b)):
+        assert poly_gcd(p, q) == _euclid_gcd(p, q)
+        assert poly_gcd(q, p) == _euclid_gcd(p, q)
+
+
+def test_prs_remainders_stay_primitive_over_gaussian_integers(monkeypatch):
+    """Pseudo-remainders carry powers of the divisor's leading coefficient,
+    here powers of 2+i.  Dividing out only the rational-integer content
+    let remainders of these products reach about 1,300 bits; with the
+    content taken in Z[i] they stay near the inputs' size."""
+    from adjreal import polynomial
+
+    widths = []
+    strip = polynomial._without_content
+
+    def recorded(re, im):
+        re, im = strip(re, im)
+        widths.append(max(abs(v).bit_length() for v in re + im))
+        return re, im
+
+    monkeypatch.setattr(polynomial, "_without_content", recorded)
+    c = ExactPoly.constant(gr(2, 1) ** 9)
+    f = ExactPoly([gr(1, 2), gr(-3), ONE])
+    a = ExactPoly([gr(2, -1), gr(0, 3), gr(1, 1), gr(3)])
+    b = ExactPoly([gr(-1), gr(2, 2), gr(0, -1), gr(2), gr(1, -3)])
+    p, q = f * a * c, f * b * c * c
+    assert poly_gcd(p, q) == _euclid_gcd(p, q) == f.monic()
+    assert widths and max(widths) <= 64
 
 
 @given(small_polys(), small_polys())
@@ -135,6 +186,25 @@ def test_linear_roots_reexpansion_on_split_polys(root_ints):
     assert cof.degree() == 0
     assert ExactPoly.from_roots(found) * cof == p
     assert sorted(found, key=GaussRat.lex_key) == sorted(roots, key=GaussRat.lex_key)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(1, 3),
+                       st.integers(1, 3)), max_size=4),
+    small_polys(max_degree=2),
+    st.sampled_from([gr(1), gr(-2), gr(0, 1), gr(3, -1), gr("2/5")]),
+)
+@settings(max_examples=60, deadline=None)
+def test_squarefree_roots_are_the_distinct_linear_roots(roots, cofactor, lead):
+    """The lifting core on the squarefree part finds exactly the distinct
+    roots that linear_roots reports, zero included."""
+    if cofactor.is_zero():
+        cofactor = ONE_P
+    p = cofactor.scale(lead)
+    for a, b, d, mult in roots:
+        p = p * ExactPoly.from_roots([GaussRat(rational(a, d), rational(b, d))] * mult)
+    found, _ = linear_roots(p)
+    assert squarefree_roots(squarefree_part(p)) == sorted(set(found), key=GaussRat.lex_key)
 
 
 def _box_divisors(a: int, b: int):

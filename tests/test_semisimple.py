@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adjreal
-from adjreal import matrix, semisimple
+from adjreal import matrix, polynomial, semisimple
 from adjreal.certificates import verify_certificate
 from adjreal.errors import (
     AlgebraMismatch,
@@ -255,6 +255,53 @@ def test_general_witness_spectrum_not_split():
         witness_general_semisimple(x, LieContext("sl", "SL", 2), False)
 
 
+def _companion(coeffs):
+    """Companion matrix of the monic polynomial with the given lower
+    coefficients, lowest degree first."""
+    n = len(coeffs)
+    rows = [[0] * n for _ in range(n)]
+    for k in range(n):
+        if k:
+            rows[k][k - 1] = 1
+        rows[k][n - 1] = -coeffs[k]
+    return ExactMatrix.from_rows(rows)
+
+
+_J2 = ExactMatrix.from_rows([[1, 1], [0, 1]])
+_ROOT2 = _companion([-2, 0])  # t^2 - 2
+
+
+@pytest.mark.parametrize(
+    "x, error, message",
+    [
+        # chi splits, X is not diagonalizable
+        (ExactMatrix.from_rows([[0, 1], [0, 0]]), NotSemisimple,
+         "element is not diagonalizable"),
+        (ExactMatrix.block_diagonal([_J2, -_J2]), NotSemisimple,
+         "element is not diagonalizable"),
+        # chi = (t^2 - 2)^2 does not split and X is not diagonalizable
+        (_companion([4, 0, -4, 0]), NotSemisimple, "element is not diagonalizable"),
+        # chi does not split and X is diagonalizable: the message names
+        # chi's rootless cofactor with its multiplicity
+        (ExactMatrix.block_diagonal([ExactMatrix.diagonal([1, -1]), _ROOT2]),
+         SpectrumNotSplit, "characteristic polynomial has irrational factor (1)*x^2 + (-2)"),
+        (ExactMatrix.block_diagonal([ExactMatrix.diagonal([1, -1]), _ROOT2, _ROOT2]),
+         SpectrumNotSplit,
+         "characteristic polynomial has irrational factor (1)*x^4 + (-4)*x^2 + (4)"),
+    ],
+    ids=["j2-split", "j2-pair-split", "not-split-not-diagonalizable",
+         "not-split", "not-split-repeated"],
+)
+def test_general_witness_error_order(x, error, message):
+    """NotSemisimple wins over SpectrumNotSplit, whether chi splits or not;
+    a diagonalizable X with irrational spectrum gets SpectrumNotSplit."""
+    ctx = LieContext("sl", "SL", x.rows)
+    for want_involution in (False, True):
+        with pytest.raises(error) as caught:
+            witness_general_semisimple(x, ctx, want_involution)
+        assert str(caught.value) == message
+
+
 def test_general_witness_so_with_repeated_parameter():
     # two rotation blocks with the same parameter: eigenvalue multiplicity 2
     x = ExactMatrix.block_diagonal([so_block(gr(2)), so_block(gr(2))])
@@ -371,24 +418,30 @@ def _counting(calls, name, fn):
     ids=["sl", "gl-asymmetric", "psl", "so", "sp-even", "sp-odd"],
 )
 def test_one_char_poly_per_command_and_one_verification(monkeypatch, x, ctx):
+    """decide runs the Horner test of diagonalizability once; witness on a
+    split chi reads it off the eigenspaces instead.  Each takes chi's
+    squarefree part once."""
     calls = Counter()
     for module, name in (
         (semisimple, "char_poly"),
         (semisimple, "verify_certificate"),
+        (semisimple, "is_semisimple"),
+        (matrix, "squarefree_part"),
+        (polynomial, "squarefree_part"),
         (matrix, "invariant_factors"),
     ):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     verdict = decide_semisimple(x, ctx)
-    assert calls == {"char_poly": 1}
+    assert calls == {"char_poly": 1, "is_semisimple": 1, "squarefree_part": 1}
     calls.clear()
     want_involution = verdict.is_strongly_real == YES
     try:
         witness_general_semisimple(x, ctx, want_involution)
     except NotRealizable:
         assert verdict.is_real != YES
-        assert calls == {"char_poly": 1}
+        assert calls == {"char_poly": 1, "squarefree_part": 1}
     else:
-        assert calls == {"char_poly": 1, "verify_certificate": 1}
+        assert calls == {"char_poly": 1, "squarefree_part": 1, "verify_certificate": 1}
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,11 +528,13 @@ def test_witness_dense_sl30_is_pinned():
 def test_self_checks_survive_python_optimize():
     """The helpers' internal checks, the exact Gaussian-integer divisions
     of the elimination (directly and through det), and the two checks of the
-    Jordan-Chevalley Newton iteration raise SelfCheckFailed, not
-    AssertionError or ArithmeticError, and python -O keeps them."""
+    Jordan-Chevalley Newton iteration raise SelfCheckFailed, and witness's
+    eigenspace-dimension and root-count checks raise NotSemisimple and
+    SpectrumNotSplit, not AssertionError or ArithmeticError, and python -O
+    keeps them."""
     code = (
         "from adjreal import semisimple as s\n"
-        "from adjreal.errors import SelfCheckFailed\n"
+        "from adjreal.errors import NotSemisimple, SelfCheckFailed, SpectrumNotSplit\n"
         "from adjreal.gaussian import I, ONE, ZERO\n"
         "from adjreal.liecore import LieContext, jn_matrix\n"
         "from adjreal import matrix as m\n"
@@ -520,11 +575,15 @@ def test_self_checks_survive_python_optimize():
         "    'jordan-non-unit-gcd': lambda: jordan_with(\n"
         "        'poly_xgcd', lambda p, q: (ExactPoly.x_power(1), ExactPoly.one(), ExactPoly.one())),\n"
         "    'jordan-no-convergence': lambda: jordan_with('_inverse_mod', lambda p, q: ExactPoly.zero()),\n"
+        "    'witness-not-diagonalizable': lambda: s.witness_general_semisimple(\n"
+        "        ExactMatrix.from_rows([[0, 1], [0, 0]]), LieContext('sl', 'SL', 2), False),\n"
+        "    'witness-not-split': lambda: s.witness_general_semisimple(ExactMatrix.from_rows(\n"
+        "        [[1, 0, 0], [0, 0, 2], [0, 1, 0]]), LieContext('gl', 'GL', 3), False),\n"
         "}\n"
         "for name, case in cases.items():\n"
         "    try:\n"
         "        case()\n"
-        "    except SelfCheckFailed:\n"
+        "    except (SelfCheckFailed, NotSemisimple, SpectrumNotSplit):\n"
         "        print(name)\n"
         "print(__debug__)\n"
     )
@@ -538,5 +597,6 @@ def test_self_checks_survive_python_optimize():
     assert run.stdout.split() == [
         "linear", "projective", "symplectic", "so-pairs", "sp-pairs",
         "symmetric-form", "antisymmetric-form", "inexact-real", "inexact-complex",
-        "det-wrong-pivot", "jordan-non-unit-gcd", "jordan-no-convergence", "False",
+        "det-wrong-pivot", "jordan-non-unit-gcd", "jordan-no-convergence",
+        "witness-not-diagonalizable", "witness-not-split", "False",
     ]

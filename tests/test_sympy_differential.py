@@ -28,7 +28,12 @@ from adjreal.matrix import (  # noqa: E402
     rank,
 )
 from adjreal.oracle import rcf_invariant_factors  # noqa: E402
-from adjreal.polynomial import ExactPoly, linear_roots, squarefree_part  # noqa: E402
+from adjreal.polynomial import (  # noqa: E402
+    ExactPoly,
+    linear_roots,
+    poly_gcd,
+    squarefree_part,
+)
 from adjreal.symplectic import (  # noqa: E402
     chain_decomposition,
     nilpotent_from_partition,
@@ -145,6 +150,28 @@ def test_linear_roots_match_sympy_linear_factors(roots, cofactor, lead):
             else:
                 rest = rest * g
     assert linear_roots(p) == (sorted(expected, key=GaussRat.lex_key), rest)
+
+
+def _sympy_poly(p: ExactPoly):
+    return Poly.from_list([_to_qqi(c) for c in reversed(p.coeffs)], Symbol("t"), domain=QQ_I)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=4),
+    st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=4),
+    st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=4),
+    st.sampled_from([gr(1), gr(1, 1) ** 5, gr(2, 1) ** 4, gr(rational(3, 7), -2)]),
+)
+def test_poly_gcd_matches_sympy(shared, a, b, content):
+    """poly_gcd of products sharing a factor equals sympy's monic gcd over
+    QQ_I."""
+    f, a, b = ExactPoly(shared), ExactPoly(a), ExactPoly(b)
+    p, q = (f * a).scale(content), f * f * b
+    expected = _sympy_poly(p).gcd(_sympy_poly(q))
+    if not expected.is_zero:
+        expected = expected.monic()
+    assert poly_gcd(p, q) == ExactPoly([_from_qqi(c) for c in reversed(expected.rep.to_list())])
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,10 @@ All input and output is JSON with exact scalar strings; nothing is ever
 rounded.  Exit codes: 0 for an affirmative result, 1 for a verified
 negative / undetermined / not-found result (details in the JSON), 2 for
 input errors and failed certificate verification.
+
+Each command imports the modules it runs in its own body, so a shell
+invocation loads only those; ``main`` looks its handler up by name when
+it runs.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import functools
 import json
 import sys
 
-from .acceptance import CRITERIA, run_all, run_criterion
-from .certificates import ReverserCertificate, verify_certificate
 from .errors import (
     AdjRealError,
     NotRealizable,
@@ -23,12 +25,6 @@ from .errors import (
     SearchSpaceTooLarge,
     SpectrumNotSplit,
 )
-from .jordan import jordan_chevalley
-from .liecore import LieContext
-from .matrix import ExactMatrix
-from .oracle import search_reverser
-from .semisimple import decide_semisimple, witness_general_semisimple
-from .symplectic import chain_decomposition, reverse_full, sl2_triple
 
 
 def _load_json_arg(text: str):
@@ -61,13 +57,22 @@ def _emit(payload, out_path: str | None = None, indent: int | None = 2) -> None:
     print(text)
 
 
+def _matrix(args):
+    from .matrix import ExactMatrix
+
+    return ExactMatrix.from_json(_load_json_arg(args.matrix))
+
+
 def _matrix_and_context(args):
+    from .liecore import LieContext
+
     ctx = LieContext.from_json(_load_json_arg(args.ctx))
-    mat = ExactMatrix.from_json(_load_json_arg(args.matrix))
-    return mat, ctx
+    return _matrix(args), ctx
 
 
 def _cmd_decide(args) -> int:
+    from .semisimple import decide_semisimple
+
     mat, ctx = _matrix_and_context(args)
     verdict = decide_semisimple(mat, ctx)
     _emit(verdict.to_json(), args.out)
@@ -81,6 +86,8 @@ def _refuse(exc: AdjRealError, out_path: str | None) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .semisimple import witness_general_semisimple
+
     mat, ctx = _matrix_and_context(args)
     try:
         cert = witness_general_semisimple(mat, ctx, args.involution)
@@ -91,6 +98,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .certificates import ReverserCertificate, verify_certificate
+
     cert = ReverserCertificate.from_json(_load_json_arg(args.certificate))
     report = verify_certificate(cert)
     _emit(report.to_json(), args.out)
@@ -98,25 +107,30 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_jordan(args) -> int:
-    mat = ExactMatrix.from_json(_load_json_arg(args.matrix))
-    _emit(jordan_chevalley(mat).to_json(), args.out)
+    from .jordan import jordan_chevalley
+
+    _emit(jordan_chevalley(_matrix(args)).to_json(), args.out)
     return 0
 
 
 def _cmd_sl2(args) -> int:
-    mat = ExactMatrix.from_json(_load_json_arg(args.matrix))
-    _emit(sl2_triple(mat).to_json(), args.out)
+    from .symplectic import sl2_triple
+
+    _emit(sl2_triple(_matrix(args)).to_json(), args.out)
     return 0
 
 
 def _cmd_chains(args) -> int:
-    mat = ExactMatrix.from_json(_load_json_arg(args.matrix))
-    _emit(chain_decomposition(mat).to_json(), args.out)
+    from .symplectic import chain_decomposition
+
+    _emit(chain_decomposition(_matrix(args)).to_json(), args.out)
     return 0
 
 
 def _cmd_reverse(args) -> int:
-    mat = ExactMatrix.from_json(_load_json_arg(args.matrix))
+    from .symplectic import reverse_full
+
+    mat = _matrix(args)
     try:
         cert = reverse_full(mat)
     except SpectrumNotSplit as exc:
@@ -126,6 +140,8 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .oracle import search_reverser
+
     if args.height < 1:
         raise ParseError(f"--height must be at least 1, got {args.height}")
     mat, ctx = _matrix_and_context(args)
@@ -142,6 +158,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .acceptance import CRITERIA, run_all, run_criterion
+
     if args.criterion is not None:
         if not 1 <= args.criterion <= CRITERIA:
             raise ParseError(
@@ -183,44 +201,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="reality verdict for a semisimple element")
     add_common(p)
-    p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("witness", help="construct a certified reverser")
     add_common(p)
     p.add_argument("--involution", action="store_true", help="demand g^2 = I")
-    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("verify", help="check a reverser certificate exactly")
     p.add_argument("certificate", help="certificate JSON or file path")
     p.add_argument("--out", help="also write the JSON result to this file")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("jordan", help="semisimple + nilpotent decomposition")
     add_common(p, ctx=False)
-    p.set_defaults(func=_cmd_jordan)
 
     p = sub.add_parser("sl2", help="complete a nilpotent element of sp(n) to a triple")
     add_common(p, ctx=False)
-    p.set_defaults(func=_cmd_sl2)
 
     p = sub.add_parser("chains", help="chain data for a nilpotent element of sp(n)")
     add_common(p, ctx=False)
-    p.set_defaults(func=_cmd_chains)
 
     p = sub.add_parser("reverse", help="reverser for an arbitrary element of sp(n)")
     add_common(p, ctx=False)
-    p.set_defaults(func=_cmd_reverse)
 
     p = sub.add_parser("search", help="brute-force reverser search (evidence only)")
     add_common(p)
     p.add_argument("--height", type=int, default=2, help="coefficient height bound")
     p.add_argument("--involution", action="store_true")
-    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
-    p.add_argument("--criterion", type=int, help=f"run a single criterion (1-{CRITERIA})")
+    p.add_argument("--criterion", type=int, help="run a single criterion")
     p.add_argument("--seed", type=int, help="override the SEED environment variable")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 
@@ -236,7 +245,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         out = getattr(args, "out", None)
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except AdjRealError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
     try:

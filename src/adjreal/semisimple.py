@@ -52,7 +52,7 @@ from .matrix import (
     inverse,
     is_semisimple,
 )
-from .polynomial import ExactPoly, squarefree_decomposition
+from .polynomial import ExactPoly
 
 YES = "yes"
 NO = "no"
@@ -103,13 +103,16 @@ _NOT_DIAGONALIZABLE = "element is not diagonalizable"
 
 def _nonzero_multiplicities_even(chi: ExactPoly) -> bool:
     """True iff every nonzero eigenvalue (over the algebraic closure) has
-    even multiplicity; read off the squarefree decomposition, so no
-    splitting field is needed."""
-    t = ExactPoly((ZERO, ONE))
-    for factor, mult in squarefree_decomposition(chi):
-        if mult % 2 == 1 and factor != t:
-            return False
-    return True
+    even multiplicity, i.e. chi stripped of its powers of t is a square
+    s^2.  The monic s is fixed coefficient by coefficient from the top, so
+    it lies in Q(i)[t]; no gcd and no splitting field is needed."""
+    low = next(k for k, c in enumerate(chi.coeffs) if not c.is_zero())
+    p = ExactPoly(chi.coeffs[low:])
+    top, s = p.coeffs[::-1], [ONE]
+    for k in range(1, p.degree() // 2 + 1):
+        s.append((top[k] - sum((s[j] * s[k - j] for j in range(1, k)), ZERO)) / 2)
+    root = ExactPoly(s[::-1])
+    return root * root == p
 
 
 def _spectral_verdict(chi: ExactPoly, ctx: LieContext) -> RealityVerdict:

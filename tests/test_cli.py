@@ -246,6 +246,62 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert built == []
 
 
+def test_handler_is_looked_up_when_main_runs(monkeypatch, capsys):
+    """A handler rebound after the cached parser is built still runs."""
+    from adjreal import cli
+
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_decide", lambda args: seen.append(args.command) or 7)
+    assert main(["decide", "--ctx", SL2_CTX, "--matrix", "/nonexistent.json"]) == 7
+    assert seen == ["decide"]
+    assert capsys.readouterr().out == ""
+
+
+# what each command must leave unloaded, in a fresh interpreter
+_NOT_LOADED = {
+    "decide": {"acceptance", "oracle", "symplectic", "jordan"},
+    "witness": {"acceptance", "oracle", "symplectic", "jordan"},
+    "verify": {"acceptance", "oracle", "symplectic", "jordan"},
+    "reverse": {"acceptance", "oracle"},
+    "--help": {"semisimple"},
+}
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from adjreal.cli import main
+code = None  # --help exits from inside main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("adjreal"))]))
+"""
+
+
+@pytest.mark.parametrize("command", list(_NOT_LOADED))
+def test_each_command_loads_only_its_modules(command, tmp_path, capsys):
+    sl4 = '{"algebra":"sl","group":"SL","n":4}'
+    h4 = json.dumps(ExactMatrix.diagonal([gr(1), gr(2), gr(-1), gr(-2)]).to_json())
+    cert = str(tmp_path / "cert.json")
+    assert main(["witness", "--ctx", sl4, "--matrix", h4, "--out", cert]) == 0
+    capsys.readouterr()
+    argv = {
+        "decide": ["decide", "--ctx", sl4, "--matrix", h4],
+        "witness": ["witness", "--ctx", sl4, "--matrix", h4],
+        "verify": ["verify", cert],
+        "reverse": ["reverse", "--matrix", json.dumps(nilpotent_from_partition([2, 2]).to_json())],
+        "--help": ["--help"],
+    }[command]
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    code, modules = json.loads(run.stdout)
+    assert code == (None if command == "--help" else 0)
+    loaded = {name.removeprefix("adjreal.") for name in modules}
+    assert "cli" in loaded
+    assert loaded.isdisjoint(_NOT_LOADED[command])
+
+
 def test_parse_error_exit_two(capsys):
     code, payload = _run_main(
         capsys, ["decide", "--ctx", SL2_CTX, "--matrix", "/nonexistent.json"]

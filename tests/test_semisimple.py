@@ -444,6 +444,51 @@ def test_one_char_poly_per_command_and_one_verification(monkeypatch, x, ctx):
         assert calls == {"char_poly": 1, "squarefree_part": 1, "verify_certificate": 1}
 
 
+@pytest.mark.parametrize("command", ["decide", "witness"])
+def test_sp_verdict_takes_gcd_of_chi_and_derivative_once(monkeypatch, capsys, command):
+    """The Sp multiplicity test reads chi itself, so gcd(chi, chi') is
+    taken only for chi's squarefree part."""
+    from adjreal.cli import main
+
+    degrees = []
+    gcd = polynomial.poly_gcd
+
+    def spy(p, q):
+        degrees.append((p.degree(), q.degree()))
+        return gcd(p, q)
+
+    monkeypatch.setattr(polynomial, "poly_gcd", spy)
+    x = ExactMatrix.diagonal([gr(v) for v in (2, 3, 2, -2, -3, -2)])
+    ctx = '{"algebra":"sp","group":"Sp","n":3}'
+    assert main([command, "--ctx", ctx, "--matrix", json.dumps(x.to_json())]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if command == "decide":
+        assert (out["real"], out["strongly_real"], out["reason"]) == (YES, NO, "OddMultiplicity")
+    assert degrees == [(6, 5)]
+
+
+@pytest.mark.parametrize(
+    "roots, irrational, expected",
+    [
+        ([2, 2, -2, -2], 2, True),
+        ([2, 2, -2, -2], 1, False),
+        ([2, 3, -2, -3], 0, False),
+        ([1, 1, 1, -1, -1, -1], 0, False),
+        ([0, 0, 0, 5, 5, -5, -5], 0, True),
+        ([0, "i", "i", "-i", "-i"], 2, True),
+    ],
+)
+def test_nonzero_multiplicities_even_agrees_with_yun(roots, irrational, expected):
+    """The square test of the Sp verdict agrees with the squarefree
+    decomposition, also on a factor t^2 - 2 without roots in Q(i)."""
+    chi = polynomial.ExactPoly.from_roots([gr(r) for r in roots])
+    for _ in range(irrational):
+        chi = chi * polynomial.ExactPoly((gr(-2), ZERO, ONE))
+    t = polynomial.ExactPoly((ZERO, ONE))
+    yun = all(m % 2 == 0 or f == t for f, m in polynomial.squarefree_decomposition(chi))
+    assert semisimple._nonzero_multiplicities_even(chi) is yun is expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     pairs=st.lists(st.integers(1, 3), max_size=2),

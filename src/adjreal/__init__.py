@@ -31,7 +31,6 @@ _EXPORTS = {
         "PolyMatrix",
         "char_poly",
         "invariant_factors",
-        "is_nilpotent",
         "is_semisimple",
         "minimal_polynomial",
         "similar_to_negative",

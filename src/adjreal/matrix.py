@@ -673,8 +673,17 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(n, n, flat)
 
 
-def is_invertible(a: ExactMatrix) -> bool:
-    return a.is_square() and not det(a).is_zero()
+def _signed_conjugate(m: ExactMatrix, images) -> ExactMatrix:
+    """T M T^-1 for the signed permutation T e_k = s_k e_{i_k}, given as
+    images[k] = (i_k, s_k) with s_k = +-1: entry (k, l) of M moves to
+    (i_k, i_l) with sign s_k s_l.  No product and no elimination."""
+    n = m.rows
+    flat = [ZERO] * (n * n)
+    for k, (ik, sk) in enumerate(images):
+        for l, (il, sl) in enumerate(images):
+            e = m[k, l]
+            flat[ik * n + il] = e if sk == sl else -e
+    return ExactMatrix(n, n, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -941,13 +950,6 @@ def eigenspaces(x: ExactMatrix, chi: ExactPoly):
             f"characteristic polynomial has irrational factor {cofactor}"
         )
     return [(lam, kernel(x.plus_scalar(-lam))) for lam in roots]
-
-
-def is_nilpotent(x: ExactMatrix) -> bool:
-    """True iff the minimal polynomial is a power of x, i.e. X^n = 0."""
-    if not x.is_square():
-        raise SizeMismatch("nilpotency of a non-square matrix")
-    return x.power(x.rows).is_zero()
 
 
 def similar_to_negative(x: ExactMatrix) -> bool:

@@ -45,6 +45,7 @@ from .liecore import (
 )
 from .matrix import (
     ExactMatrix,
+    _signed_conjugate,
     char_poly,
     det,
     eigenspaces,
@@ -310,27 +311,23 @@ def _antidiag_rotation_blocks(m: int) -> ExactMatrix:
     return ExactMatrix.from_rows(b)
 
 
-def _sp_permutation(n: int, perm) -> ExactMatrix:
-    """diag(P, P) for the permutation sending slot a to old index perm[a]."""
-    g = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for a, old in enumerate(perm):
-        g[a][old] = ONE
-        g[n + a][n + old] = ONE
-    return ExactMatrix.from_rows(g)
-
-
 def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
     """Involution in Sp(n) reversing diag(h, -h) when every nonzero
-    eigenvalue has even multiplicity."""
+    eigenvalue has even multiplicity: block swaps on the coordinates sorted
+    by pair representative, moved back by reindexing with a signed
+    permutation."""
     n = ctx.n
-    flips = [j for j, v in enumerate(values) if not v.is_zero() and v != _pair_rep(v)]
-    # rotation blocks on (j, n + j) send h_j to -h_j on the canonical form
-    s1 = _rotation_reverser(2 * n, [(j, n + j) for j in flips])
     hvals = [_pair_rep(v) if not v.is_zero() else v for v in values]
     order = sorted(range(n), key=lambda j: (hvals[j].lex_key(), j))
-    s2 = _sp_permutation(n, order)
-    s = s2 * s1
     sorted_vals = [hvals[j] for j in order]
+    # slot a (and n + a) holds coordinate j = order[a], rotated by
+    # (e_j, e_{n+j}) -> (-e_{n+j}, e_j) when h_j is not its pair representative
+    images = [None] * (2 * n)
+    for a, j in enumerate(order):
+        if hvals[j] == values[j]:
+            images[a], images[n + a] = (j, 1), (n + j, 1)
+        else:
+            images[a], images[n + a] = (n + j, -1), (j, 1)
     # group equal consecutive values into eigenvalue classes
     g = [[ZERO] * (2 * n) for _ in range(2 * n)]
     a = 0
@@ -350,14 +347,13 @@ def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
                     "odd multiplicity has no symplectic involution"
                 )
             bmat = _antidiag_rotation_blocks(m)
-            cmat = inverse(bmat)
+            cmat = bmat.transpose()
             for p in range(m):
                 for q in range(m):
                     g[idxs[p]][n + idxs[q]] = bmat[p, q]
                     g[n + idxs[p]][idxs[q]] = cmat[p, q]
         a = b
-    g_norm = ExactMatrix.from_rows(g)
-    return inverse(s) * g_norm * s
+    return _signed_conjugate(ExactMatrix.from_rows(g), images)
 
 
 def _canonical_reverser(

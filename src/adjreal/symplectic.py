@@ -38,6 +38,7 @@ from .matrix import (
     _Echelon,
     _krylov_echelon,
     _poly_on_vector,
+    _signed_conjugate,
     char_poly,
     det,
     eigenspaces,
@@ -528,57 +529,52 @@ def _model_chain_layout(parts):
 
 
 def _model_form_and_shift(parts):
-    """The chain-basis model: nilpotent shift X' and an invariant
-    antisymmetric Gram Q' on the model space (even parts self-paired,
-    odd parts paired in twos)."""
+    """The chain-basis model: nilpotent shift X' and, as ``images`` for
+    ``_signed_conjugate``, the signed permutation T with T^t J T = Q'.  The
+    invariant Gram Q' pairs each model index k with one partner q, Q'[k][q]
+    = +-1 (even parts self-paired, odd parts in twos); T sends the lowest
+    unpaired p to the next slot a and its partner q to -Q'[p][q] e_{n+a}."""
     offsets, size = _model_chain_layout(parts)
     xp = [[ZERO] * size for _ in range(size)]
-    qp = [[ZERO] * size for _ in range(size)]
     for d, off in zip(parts, offsets):
         for level in range(d - 1):
             xp[off + level + 1][off + level] = ONE
-    used = set()
     by_part: dict = {}
     for idx, d in enumerate(parts):
         by_part.setdefault(d, []).append(idx)
+    partner = {}  # model index k -> (q, Q'[k][q])
     for d, idxs in by_part.items():
         if d % 2 == 0:
-            for idx in idxs:
-                off = offsets[idx]
-                for level in range(d):
-                    sign = ONE if level % 2 == 0 else -ONE
-                    qp[off + level][off + d - 1 - level] = sign
+            chains = [(idx, idx) for idx in idxs]
+        elif len(idxs) % 2:
+            raise SelfCheckFailed(f"odd part {d} occurs an odd number of times")
         else:
-            if len(idxs) % 2:
-                raise SelfCheckFailed(f"odd part {d} occurs an odd number of times")
-            for a, b in zip(idxs[0::2], idxs[1::2]):
-                oa, ob = offsets[a], offsets[b]
-                for level in range(d):
-                    sign = ONE if level % 2 == 0 else -ONE
-                    qp[oa + level][ob + d - 1 - level] = sign
-                    qp[ob + d - 1 - level][oa + level] = -sign
-        used.add(d)
-    return ExactMatrix.from_rows(xp), ExactMatrix.from_rows(qp), offsets
-
-
-def _isometry_to_standard(qp: ExactMatrix) -> ExactMatrix:
-    """T with T^t J T = Q', moving the model form onto the standard one."""
-    size = qp.rows
-    pairing = _bilinear(qp)
-    units = [
-        [ONE if k == idx else ZERO for k in range(size)] for idx in range(size)
-    ]
-    firsts, seconds = _symplectic_pair_basis(units, pairing, -ONE)
-    r = ExactMatrix.from_columns(firsts + seconds)
-    return inverse(r)
+            chains = list(zip(idxs[0::2], idxs[1::2]))
+        for a, b in chains:
+            oa, ob = offsets[a], offsets[b]
+            for level in range(d):
+                sign = 1 if level % 2 == 0 else -1
+                partner[oa + level] = (ob + d - 1 - level, sign)
+                partner[ob + d - 1 - level] = (oa + level, -sign)
+    n = size // 2
+    images = [None] * size
+    slot = 0
+    for p in range(size):
+        if images[p] is None:
+            q, sign = partner[p]
+            images[p] = (slot, 1)
+            images[q] = (n + slot, -sign)
+            slot += 1
+    return ExactMatrix.from_rows(xp), images, offsets
 
 
 def nilpotent_from_partition(parts) -> ExactMatrix:
     """A nilpotent element of sp(n) whose chain lengths realize the given
-    symplectic partition of 2n."""
-    xp, qp, _ = _model_form_and_shift(list(parts))
-    t = _isometry_to_standard(qp)
-    x = t * xp * inverse(t)
+    symplectic partition of 2n: the model shift X' moved onto the standard
+    form by reindexing, T X' T^-1 with T the signed permutation of
+    ``_model_form_and_shift``."""
+    xp, images, _ = _model_form_and_shift(list(parts))
+    x = _signed_conjugate(xp, images)
     if not algebra_member(x, LieContext("sp", "Sp", x.rows // 2)):
         raise SelfCheckFailed("model nilpotent is not in sp(n)")
     return x
@@ -590,10 +586,11 @@ def mixed_from_partition(parts, params: dict):
 
     ``params[d]`` is a list of scalars, one per chain pair of length d
     (even parts are paired greedily, a leftover chain gets no parameter;
-    odd parts are always paired).  Returns (x, xs, xn).
+    odd parts are always paired).  Both parts are moved off the model space
+    by reindexing, as in ``nilpotent_from_partition``.  Returns (x, xs, xn).
     """
     parts = list(parts)
-    xp, qp, offsets = _model_form_and_shift(parts)
+    xp, images, offsets = _model_form_and_shift(parts)
     size = xp.rows
     sp = [[ZERO] * size for _ in range(size)]
     by_part: dict = {}
@@ -611,11 +608,8 @@ def mixed_from_partition(parts, params: dict):
                 else:
                     sp[oa + level][oa + level] = mu
                     sp[ob + level][ob + level] = -mu
-    sp_mat = ExactMatrix.from_rows(sp)
-    t = _isometry_to_standard(qp)
-    tinv = inverse(t)
-    xs = t * sp_mat * tinv
-    xn = t * xp * tinv
+    xs = _signed_conjugate(ExactMatrix.from_rows(sp), images)
+    xn = _signed_conjugate(xp, images)
     x = xs + xn
     if not algebra_member(x, LieContext("sp", "Sp", size // 2)):
         raise SelfCheckFailed("model mixed element is not in sp(n)")

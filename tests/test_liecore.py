@@ -16,7 +16,7 @@ from adjreal.liecore import (
     reverser_linear_space,
     so_block,
 )
-from adjreal.matrix import ExactMatrix, det, inverse, is_invertible
+from adjreal.matrix import ExactMatrix, det, inverse
 
 from conftest import SMALL_SCALARS
 
@@ -119,7 +119,7 @@ def test_extended_centralizer_index_two(rng):
             r1 = r1 + b.scale(c)
         for c, b in zip(c2, basis):
             r2 = r2 + b.scale(c)
-        if not (is_invertible(r1) and is_invertible(r2)):
+        if det(r1).is_zero() or det(r2).is_zero():
             continue
         z = inverse(r1) * r2
         assert z * x == x * z

@@ -10,13 +10,13 @@ from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr, rational
 from adjreal.matrix import (
     ExactMatrix,
     PolyMatrix,
+    _signed_conjugate,
     char_poly,
     det,
     eval_poly,
     hessenberg,
     invariant_factors,
     inverse,
-    is_nilpotent,
     is_semisimple,
     kernel,
     minimal_polynomial,
@@ -203,11 +203,8 @@ def test_similar_to_negative_examples():
 
 def test_semisimple_and_nilpotent_predicates():
     assert is_semisimple(ExactMatrix.diagonal([1, 1]))
-    strict = ExactMatrix.from_rows([[0, 5], [0, 0]])
-    assert is_nilpotent(strict)
     jordan = ExactMatrix.from_rows([[1, 1], [0, 1]])
     assert not is_semisimple(jordan)
-    assert not is_nilpotent(jordan)
     # its minimal polynomial is (x-1)^2
     m = minimal_polynomial(jordan)
     x = ExactPoly.x_power(1)
@@ -329,6 +326,45 @@ def test_product_matches_naive_gaussrat_sums(data, n, k, m):
 def test_det_matches_reference_elimination(data, n):
     a = data.draw(_kernel_matrices(n, n))
     assert det(a) == _reference_det(a)
+
+
+def _signed_permutation(images):
+    """The dense T with T e_k = s_k e_{i_k}, images[k] = (i_k, s_k)."""
+    n = len(images)
+    flat = [ZERO] * (n * n)
+    for k, (i, sign) in enumerate(images):
+        flat[i * n + k] = gr(sign)
+    return ExactMatrix(n, n, flat)
+
+
+@st.composite
+def _signed_conjugations(draw):
+    n = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    entries = draw(st.lists(st.sampled_from(SMALL_SCALARS), min_size=n * n, max_size=n * n))
+    return ExactMatrix(n, n, entries), list(zip(perm, signs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signed_conjugations())
+def test_signed_conjugate_matches_dense_conjugation(case):
+    m, images = case
+    t = _signed_permutation(images)
+    assert _signed_conjugate(m, images) == t * m * inverse(t)
+
+
+def test_signed_conjugate_identity_signs_and_permutation():
+    m = ExactMatrix.from_rows([[1, I, gr("1/2")], [0, gr(1, -1), 2], [-1, 0, I]])
+    assert _signed_conjugate(m, [(0, 1), (1, 1), (2, 1)]) == m
+    # D M D with D = diag(-1, 1, -1)
+    assert _signed_conjugate(m, [(0, -1), (1, 1), (2, -1)]) == ExactMatrix.from_rows(
+        [[1, -I, gr("1/2")], [0, gr(1, -1), -2], [-1, 0, I]]
+    )
+    # e_0 -> e_2, e_1 -> e_0, e_2 -> e_1: entry (k, l) moves to (i_k, i_l)
+    assert _signed_conjugate(m, [(2, 1), (0, 1), (1, 1)]) == ExactMatrix.from_rows(
+        [[gr(1, -1), 2, 0], [0, I, -1], [I, gr("1/2"), 1]]
+    )
 
 
 def test_det_row_swaps_and_imaginary_pivots():

@@ -645,3 +645,71 @@ def test_self_checks_survive_python_optimize():
         "det-wrong-pivot", "jordan-non-unit-gcd", "jordan-no-convergence",
         "witness-not-diagonalizable", "witness-not-split", "False",
     ]
+
+
+def _reference_symplectic_involution(values, ctx):
+    """The Sp involution as first written: the block involution g on sorted
+    coordinates, conjugated densely by S = S2 S1, S^-1 g S."""
+    n = ctx.n
+    flips = [j for j, v in enumerate(values) if not v.is_zero() and v != semisimple._pair_rep(v)]
+    s1 = semisimple._rotation_reverser(2 * n, [(j, n + j) for j in flips])
+    hvals = [semisimple._pair_rep(v) if not v.is_zero() else v for v in values]
+    order = sorted(range(n), key=lambda j: (hvals[j].lex_key(), j))
+    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    for a, old in enumerate(order):
+        rows[a][old] = ONE
+        rows[n + a][n + old] = ONE
+    s = ExactMatrix.from_rows(rows) * s1
+    sorted_vals = [hvals[j] for j in order]
+    g = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    a = 0
+    while a < n:
+        b = a
+        while b < n and sorted_vals[b] == sorted_vals[a]:
+            b += 1
+        if sorted_vals[a].is_zero():
+            for j in range(a, b):
+                g[j][j] = g[n + j][n + j] = ONE
+        else:
+            bmat = semisimple._antidiag_rotation_blocks(b - a)
+            cmat = minv(bmat)
+            for p in range(b - a):
+                for q in range(b - a):
+                    g[a + p][n + a + q] = bmat[p, q]
+                    g[n + a + p][a + q] = cmat[p, q]
+        a = b
+    return minv(s) * ExactMatrix.from_rows(g) * s
+
+
+@st.composite
+def _even_multiplicity_spectra(draw):
+    """h for diag(h, -h) with every nonzero pair class of even size: each
+    class value or its negative per slot, zeros, shuffled."""
+    pool = [gr(1), gr(2), gr(0, 1), gr(1, -1), gr("1/2")]
+    values = [ZERO] * draw(st.integers(0, 2))
+    for base in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        for _ in range(draw(st.sampled_from((2, 4)))):
+            values.append(base if draw(st.booleans()) else -base)
+    if not values:
+        values = [gr(-1), gr(1)]
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_even_multiplicity_spectra())
+def test_symplectic_involution_matches_dense_conjugation(values):
+    ctx = LieContext("sp", "Sp", len(values))
+    g = semisimple._witness_symplectic_involution(values, ctx)
+    assert g == _reference_symplectic_involution(values, ctx)
+    assert g * g == ExactMatrix.identity(2 * len(values))
+
+
+def test_symplectic_involution_uses_no_inverse_or_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense call in the Sp involution witness")
+
+    for module in (matrix, semisimple):
+        monkeypatch.setattr(module, "inverse", refuse)
+    monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
+    values = [gr(-2), ZERO, gr(2), gr(0, -1), gr(0, 1), gr(-2), gr(-2)]
+    semisimple._witness_symplectic_involution(values, LieContext("sp", "Sp", len(values)))

@@ -20,10 +20,12 @@ from adjreal.errors import (
 )
 from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr
 from adjreal.liecore import LieContext, algebra_member, jn_matrix
-from adjreal.matrix import ExactMatrix, det, inverse, solve_linear
+from adjreal.matrix import ExactMatrix, _signed_conjugate, det, inverse, solve_linear
+from adjreal.semisimple import _bilinear, _symplectic_pair_basis
 from adjreal.symplectic import (
     Sl2Triple,
     _form_relative_reverser,
+    _model_form_and_shift,
     build_sigma,
     build_tau,
     chain_decomposition,
@@ -632,3 +634,92 @@ def test_form_relative_reverser_keeps_its_spectrum_message():
         SpectrumNotSplit, match=r"^semisimple block has eigenvalues outside Q\(i\)$"
     ):
         _form_relative_reverser(xsd, None, odd=False)
+
+
+def _reference_model(parts, params):
+    """The model shift X', semisimple part S' and antisymmetric Gram Q'
+    as the builders first wrote them, entry by entry."""
+    offsets, pos = [], 0
+    for d in parts:
+        offsets.append(pos)
+        pos += d
+    xp, sp, qp = ([[ZERO] * pos for _ in range(pos)] for _ in range(3))
+    for d, off in zip(parts, offsets):
+        for level in range(d - 1):
+            xp[off + level + 1][off + level] = ONE
+    by_part = {}
+    for idx, d in enumerate(parts):
+        by_part.setdefault(d, []).append(idx)
+    for d, idxs in by_part.items():
+        if d % 2 == 0:
+            for idx in idxs:
+                off = offsets[idx]
+                for level in range(d):
+                    qp[off + level][off + d - 1 - level] = ONE if level % 2 == 0 else -ONE
+        else:
+            for a, b in zip(idxs[0::2], idxs[1::2]):
+                oa, ob = offsets[a], offsets[b]
+                for level in range(d):
+                    sign = ONE if level % 2 == 0 else -ONE
+                    qp[oa + level][ob + d - 1 - level] = sign
+                    qp[ob + d - 1 - level][oa + level] = -sign
+    for d, idxs in sorted(by_part.items()):
+        for (a, b), mu in zip(zip(idxs[0::2], idxs[1::2]), params.get(d, ())):
+            oa, ob = offsets[a], offsets[b]
+            for level in range(d):
+                if d % 2 == 0:
+                    sp[oa + level][ob + level] = mu
+                    sp[ob + level][oa + level] = -mu
+                else:
+                    sp[oa + level][oa + level] = mu
+                    sp[ob + level][ob + level] = -mu
+    return tuple(ExactMatrix.from_rows(m) for m in (xp, sp, qp))
+
+
+def _reference_isometry(qp):
+    """T with T^t J T = Q' by symplectic Gram-Schmidt on unit vectors."""
+    units = ExactMatrix.identity(qp.rows).to_lists()
+    firsts, seconds = _symplectic_pair_basis(units, _bilinear(qp), -ONE)
+    return inverse(ExactMatrix.from_columns(firsts + seconds))
+
+
+def _builder_params(parts):
+    """One parameter per chain pair, cycling through values with i in them."""
+    pool = [I, gr(2), gr(1, -1), gr(-3), gr("1/2", 1)]
+    return {d: pool[: parts.count(d) // 2] for d in set(parts)}
+
+
+_BUILDER_PARTITIONS = [
+    parts for total in range(2, 13, 2) for parts in symplectic_partitions(total)
+] + [(16, 14), (10, 8, 6, 4, 2)]
+
+
+@pytest.mark.parametrize("parts", _BUILDER_PARTITIONS, ids=str)
+def test_model_builders_match_gram_schmidt_isometry(parts):
+    """The reindexed builders return the matrices of the conjugation by
+    the Gram-Schmidt isometry and its inverse, and T is that isometry."""
+    params = _builder_params(list(parts))
+    xp, sp, qp = _reference_model(list(parts), params)
+    t = _reference_isometry(qp)
+    t_inv = inverse(t)
+    assert nilpotent_from_partition(parts) == t * xp * t_inv
+    x, xs, xn = mixed_from_partition(parts, params)
+    assert (xs, xn, x) == (t * sp * t_inv, t * xp * t_inv, t * (sp + xp) * t_inv)
+    _, images, _ = _model_form_and_shift(list(parts))
+    assert _signed_conjugate(qp, images) == jn_matrix(sum(parts) // 2)
+    assert all(t[i, k] == gr(s) for k, (i, s) in enumerate(images))
+
+
+def test_model_builders_use_no_inverse_product_or_gram_schmidt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense call in a model builder")
+
+    for module in ("matrix", "semisimple", "symplectic"):
+        monkeypatch.setattr(f"adjreal.{module}.inverse", refuse)
+    for module in ("semisimple", "symplectic"):
+        monkeypatch.setattr(f"adjreal.{module}._symplectic_pair_basis", refuse)
+    monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
+    parts = (10, 8, 6, 4, 2)
+    nilpotent_from_partition(parts)
+    mixed_from_partition(parts, _builder_params(list(parts)))
+    mixed_from_partition((3, 3, 1, 1), {3: [gr(2)], 1: [I]})

@@ -399,91 +399,94 @@ def witness_semisimple(
 # ---------------------------------------------------------------------------
 
 
-def _bilinear(form: ExactMatrix | None):
-    if form is None:
-        return lambda u, v: sum(
-            (a * b for a, b in zip(u, v)), ZERO
-        )
-    def pairing(u, v):
-        return sum((a * b for a, b in zip(u, form.mul_vector(v))), ZERO)
-    return pairing
-
-
-def _combine(u, v, cu, cv):
-    return [cu * a + cv * b for a, b in zip(u, v)]
-
-
-def _dual_basis(us, vs, pairing, target: GaussRat):
-    """Mix the vs so that pairing(u_a, v_b) = target * delta_ab."""
-    k = len(us)
-    gram = ExactMatrix.from_rows([[pairing(u, v) for v in vs] for u in us])
-    t = inverse(gram).scale(target)
+def _dual_pairs(eigen, form: ExactMatrix | None, target: GaussRat):
+    """(lam, U, W) for each nonzero pair representative lam of ``eigen``:
+    U is the lam eigenspace basis and W = W_-lam (U^t F W_-lam)^-1 target
+    the -lam one, mixed so that U^t F W = target I (F = I when form is
+    None).  The two spaces must have one dimension, as in so and sp."""
+    by_value = dict(eigen)
     out = []
-    for b in range(k):
-        col = [ZERO] * len(vs[0])
-        for cidx in range(k):
-            col = _combine(col, vs[cidx], ONE, t[cidx, b])
-        out.append(col)
+    for lam, us in eigen:
+        if lam.is_zero() or lam != _pair_rep(lam):
+            continue
+        vs = by_value.get(-lam)
+        if vs is None or len(vs) != len(us):
+            raise SelfCheckFailed(f"eigenvalues {lam} and {-lam} are not paired")
+        u, v = ExactMatrix.from_columns(us), ExactMatrix.from_columns(vs)
+        ut_f = u.transpose() if form is None else u.transpose() * form
+        out.append((lam, u, v * inverse(ut_f * v).scale(target)))
     return out
 
 
-def _orthogonalize_symmetric(vectors, pairing):
-    """Basis with diagonal Gram for a nondegenerate symmetric form; exact,
-    no normalization (diagonal entries stay arbitrary nonzero)."""
-    rest = [list(v) for v in vectors]
-    out = []
+def _add_column(t, g, a: int, b: int, c: GaussRat):
+    """Column a of T += c column b, with the Gram matrix g of T's columns
+    kept current by congruence: row a of g += c row b, then column a +=
+    c column b.  With a = b, column a is scaled by 1 + c."""
+    if c.is_zero():
+        return
+    g[a] = [x + c * y for x, y in zip(g[a], g[b])]
+    for m in (t, g):
+        for row in m:
+            row[a] = row[a] + c * row[b]
+
+
+def _congruent(t, g, order):
+    """(T, T^t G T) with the columns of T taken in ``order``."""
+    return (
+        ExactMatrix.from_rows([[row[k] for k in order] for row in t]),
+        ExactMatrix.from_rows([[g[a][b] for b in order] for a in order]),
+    )
+
+
+def _orthogonalize_symmetric(gram: ExactMatrix):
+    """(T, T^t G T) with T^t G T diagonal, for the Gram matrix G of a
+    nondegenerate symmetric form; exact, no normalization.  Greedy column
+    operations on T = I: the first column left with a nonzero square (or,
+    failing that, a + b for the first pair a < b that pairs) is the next
+    pivot and is cleared from the columns after it."""
+    t, g = ExactMatrix.identity(gram.rows).to_lists(), gram.to_lists()
+    rest, order = list(range(gram.rows)), []
     while rest:
-        pidx = next(
-            (k for k, w in enumerate(rest) if not pairing(w, w).is_zero()), None
-        )
-        if pidx is None:
-            found = False
-            for a in range(len(rest)):
-                for b in range(a + 1, len(rest)):
-                    if not pairing(rest[a], rest[b]).is_zero():
-                        rest[a] = _combine(rest[a], rest[b], ONE, ONE)
-                        pidx = a
-                        found = True
-                        break
-                if found:
-                    break
-            if pidx is None:
+        pivot = next((a for a in rest if not g[a][a].is_zero()), None)
+        if pivot is None:
+            pivot, b = next(
+                ((a, b) for k, a in enumerate(rest) for b in rest[k + 1:]
+                 if not g[a][b].is_zero()),
+                (None, None),
+            )
+            if pivot is None:
                 raise SelfCheckFailed("degenerate symmetric form")
-        pivot = rest.pop(pidx)
-        out.append(pivot)
-        c = pairing(pivot, pivot)
-        rest = [
-            _combine(w, pivot, ONE, -(pairing(w, pivot) / c)) for w in rest
-        ]
-    return out
+            _add_column(t, g, pivot, b, ONE)
+        rest.remove(pivot)
+        order.append(pivot)
+        c = g[pivot][pivot]
+        for w in rest:
+            _add_column(t, g, w, pivot, -(g[w][pivot] / c))
+    return _congruent(t, g, order)
 
 
-def _symplectic_pair_basis(vectors, pairing, target: GaussRat):
-    """Split a space with nondegenerate antisymmetric form into pairs
-    (p_a, q_a) with pairing(p_a, q_b) = target * delta_ab; exact."""
-    rest = [list(v) for v in vectors]
-    firsts, seconds = [], []
+def _symplectic_pairs(gram: ExactMatrix, target: GaussRat):
+    """(T, T^t G T) with T^t G T the blocks [[0, target], [-target, 0]]
+    down the diagonal, for the Gram matrix G of a nondegenerate
+    antisymmetric form; exact.  Greedy column operations on T = I: p is
+    the first column left, q the first after it that pairs with p, scaled
+    to <p, q> = target; w <- w + <q, w>/target p - <p, w>/target q clears
+    both from the other columns."""
+    t, g = ExactMatrix.identity(gram.rows).to_lists(), gram.to_lists()
+    rest, order = list(range(gram.rows)), []
     while rest:
         p = rest.pop(0)
-        qidx = next(
-            (k for k, w in enumerate(rest) if not pairing(p, w).is_zero()), None
-        )
-        if qidx is None:
+        q = next((w for w in rest if not g[p][w].is_zero()), None)
+        if q is None:
             raise SelfCheckFailed("degenerate antisymmetric form")
-        q = rest.pop(qidx)
-        q = [e * (target / pairing(p, q)) for e in q]
-        firsts.append(p)
-        seconds.append(q)
-        new_rest = []
+        rest.remove(q)
+        _add_column(t, g, q, q, target / g[p][q] - ONE)  # scales q
+        order += [p, q]
         for w in rest:
-            beta = pairing(p, w) / target
-            alpha = -(pairing(q, w) / target)
-            # subtract components so w pairs to zero with both p and q
-            w2 = _combine(w, p, ONE, alpha)
-            w2 = _combine(w2, q, ONE, beta)
-            new_rest.append(w2)
-        rest = [w for w in new_rest if any(not e.is_zero() for e in w)]
-    return firsts, seconds
+            alpha, beta = g[q][w] / target, -(g[p][w] / target)
+            _add_column(t, g, w, p, alpha)
+            _add_column(t, g, w, q, beta)
+    return _congruent(t, g, order)
 
 
 def witness_general_semisimple(
@@ -528,44 +531,23 @@ def witness_general_semisimple(
     return _verified(cert, "general witness")
 
 
-def _negative_eigenspace(by_value, lam: GaussRat, us):
-    """Basis of the -lam eigenspace, which in so and sp has the dimension
-    of the lam eigenspace (basis us)."""
-    vs = by_value.get(-lam)
-    if vs is None or len(vs) != len(us):
-        raise SelfCheckFailed(f"eigenvalues {lam} and {-lam} are not paired")
-    return vs
-
-
 def _so_eigenbasis(x: ExactMatrix, eigen):
     """Columns turning x into canonical rotation-block form while keeping
     the symmetric form compatible: paired eigenvectors are mixed into
     exact 'cosine/sine' combinations, the kernel is orthogonalized but
     not normalized (the canonical witness never needs unit lengths)."""
-    pairing = _bilinear(None)
-    by_value = {lam: basis for lam, basis in eigen}
-    half = GaussRat.parse("1/2")
-    columns = []
-    params = []
-    reps = [
-        lam
-        for lam, _ in eigen
-        if not lam.is_zero() and lam == _pair_rep(lam)
-    ]
-    for lam in reps:
-        us = by_value[lam]
-        vs_raw = _negative_eigenspace(by_value, lam, us)
-        vs = _dual_basis(us, vs_raw, pairing, half)
-        for u, v in zip(us, vs):
-            f1 = _combine(u, v, ONE, ONE)
-            f2 = _combine(u, v, -I, I)
-            columns.extend([f1, f2])
+    columns, params = [], []
+    for lam, u, v in _dual_pairs(eigen, None, GaussRat.parse("1/2")):
+        cosines, sines = (u + v).transpose(), (v - u).scale(I).transpose()
+        for k in range(u.cols):
+            columns.extend([cosines.row_list(k), sines.row_list(k)])
             params.append(-I * lam)
-    zero_basis = by_value.get(GaussRat.from_int(0), [])
-    r = len(zero_basis)
+    zero_basis = dict(eigen).get(ZERO, [])
     if zero_basis:
-        columns.extend(_orthogonalize_symmetric(zero_basis, pairing))
-    canon = CanonicalSemisimple("so", tuple(params), r)
+        z = ExactMatrix.from_columns(zero_basis)
+        t, _ = _orthogonalize_symmetric(z.transpose() * z)
+        columns.extend((z * t).transpose().to_lists())
+    canon = CanonicalSemisimple("so", tuple(params), len(zero_basis))
     return canon, ExactMatrix.from_columns(columns)
 
 
@@ -573,25 +555,18 @@ def _sp_eigenbasis(x: ExactMatrix, eigen, ctx: LieContext):
     """Symplectic eigenbasis: columns (u_1..u_n | w_1..w_n) whose Gram
     matrix under x^t J y is exactly J, mapping x to diag(h, -h)."""
     j = jn_matrix(ctx.n)
-    pairing = _bilinear(j)
-    by_value = {lam: basis for lam, basis in eigen}
     first, second, hvals = [], [], []
-    reps = [
-        lam for lam, _ in eigen if not lam.is_zero() and lam == _pair_rep(lam)
-    ]
-    minus_one = -ONE
-    for lam in reps:
-        us = by_value[lam]
-        ws_raw = _negative_eigenspace(by_value, lam, us)
-        ws = _dual_basis(us, ws_raw, pairing, minus_one)
-        first.extend(us)
-        second.extend(ws)
-        hvals.extend([lam] * len(us))
-    zero_basis = by_value.get(GaussRat.from_int(0), [])
+    for lam, u, w in _dual_pairs(eigen, j, -ONE):
+        first.extend(u.transpose().to_lists())
+        second.extend(w.transpose().to_lists())
+        hvals.extend([lam] * u.cols)
+    zero_basis = dict(eigen).get(ZERO, [])
     if zero_basis:
-        zf, zs = _symplectic_pair_basis(zero_basis, pairing, minus_one)
-        first.extend(zf)
-        second.extend(zs)
-        hvals.extend([ZERO] * len(zf))
+        z = ExactMatrix.from_columns(zero_basis)
+        t, _ = _symplectic_pairs(z.transpose() * j * z, -ONE)
+        pairs = (z * t).transpose().to_lists()
+        first.extend(pairs[0::2])
+        second.extend(pairs[1::2])
+        hvals.extend([ZERO] * (len(pairs) // 2))
     canon = CanonicalSemisimple("sp", tuple(hvals))
     return canon, ExactMatrix.from_columns(first + second)

@@ -45,11 +45,9 @@ from .matrix import (
     inverse,
 )
 from .semisimple import (
-    _bilinear,
-    _dual_basis,
+    _dual_pairs,
     _orthogonalize_symmetric,
-    _pair_rep,
-    _symplectic_pair_basis,
+    _symplectic_pairs,
     _verified,
     witness_general_semisimple,
 )
@@ -112,16 +110,20 @@ class Sl2Triple:
 # ---------------------------------------------------------------------------
 
 
+_PAIR_BLOCK = ExactMatrix.from_rows([[0, 1], [-1, 0]])
+
+
 @dataclass(frozen=True)
 class SymplecticChainData:
     """A chain basis of C^{2n} for a nilpotent X in sp(n).
 
     parts: distinct chain lengths d, descending; counts[d] = t_d;
-    heads[d]: the chain heads v (X^d v = 0), orthogonalized for the form
-    (v, u)_d = <v, X^{d-1} u> (symplectic pairs for odd d, diagonal for
-    even d); gram[d]: the t_d x t_d Gram matrix of that form on the
-    heads; basis: columns X^l v_j^d ordered by part (descending), then
-    level l, then head index j; basis_inverse: its inverse.
+    heads[d]: the chain heads v (X^d v = 0), adapted to the form
+    (v, u)_d = <v, X^{d-1} u>; gram[d]: the t_d x t_d Gram matrix of that
+    form on the heads, in normal form: interleaved [[0, 1], [-1, 0]]
+    blocks for odd d, diagonal for even d (``validate`` checks it);
+    basis: columns X^l v_j^d ordered by part (descending), then level l,
+    then head index j; basis_inverse: its inverse.
 
     Distinct chains are orthogonal and <X^a u_i, X^c u_k> = 0 for
     a + c != d - 1 within a part, so B^t J B = Q with
@@ -175,12 +177,15 @@ class SymplecticChainData:
         if sum(self.partition()) != 2 * self.n:
             raise SelfCheckFailed("chain lengths do not add up to 2n")
         for d in self.parts:
-            g = self.gram[d]
-            sign = -ONE if d % 2 else ONE
-            if g.transpose() != g.scale(sign):
-                raise SelfCheckFailed("Gram parity violated")
-            if d % 2 and self.counts[d] % 2:
+            g, t = self.gram[d], self.counts[d]
+            if d % 2 and t % 2:
                 raise SelfCheckFailed("odd chain length with odd chain count")
+            if d % 2:
+                normal = ExactMatrix.block_diagonal([_PAIR_BLOCK] * (t // 2))
+            else:
+                normal = ExactMatrix.diagonal([g[k, k] for k in range(t)])
+            if g != normal:
+                raise SelfCheckFailed("chain form is not in normal form")
             if det(g).is_zero():
                 raise SelfCheckFailed("degenerate chain form")
         b = self.basis
@@ -241,8 +246,10 @@ def _adapted_levels(levels, j: ExactMatrix):
 
     G = U^t J X^{d-1} U is nondegenerate.  For k = d - 2, ..., 0 the heads
     become U - 1/2 X^{d-1-k} U G^-1 M_k with M_k = U^t J X^k U: this
-    clears M_k and leaves G and M_{k+1}, ..., M_{d-2} as they are.  A
-    change of heads U -> U T then brings G to normal form.
+    clears M_k and leaves G and M_{k+1}, ..., M_{d-2} as they are.  The
+    change of heads U -> U T that brings G to normal form is found on G
+    alone by congruence, which returns T^t G T as well; the levels are
+    multiplied by T once.
     """
     d = len(levels)
 
@@ -260,15 +267,8 @@ def _adapted_levels(levels, j: ExactMatrix):
             for l, lvl in enumerate(levels)
         ]
     g = grams(d - 1)
-    pairing = _bilinear(g)
-    units = ExactMatrix.identity(g.rows).to_lists()
-    if d % 2:
-        firsts, seconds = _symplectic_pair_basis(units, pairing, ONE)
-        coords = [w for pair in zip(firsts, seconds) for w in pair]
-    else:
-        coords = _orthogonalize_symmetric(units, pairing)
-    t = ExactMatrix.from_columns(coords)
-    return [lvl * t for lvl in levels], t.transpose() * g * t
+    t, g = _symplectic_pairs(g, ONE) if d % 2 else _orthogonalize_symmetric(g)
+    return [lvl * t for lvl in levels], g
 
 
 def chain_decomposition(
@@ -296,7 +296,7 @@ def chain_decomposition(
     columns, inverse_rows = [], []
     while len(columns) < size:
         if columns:
-            space = kernel(ExactMatrix.from_rows([j.mul_vector(w) for w in columns]))
+            space = kernel(ExactMatrix.from_rows(columns) * j.transpose())
         else:
             space = ExactMatrix.identity(size).to_lists()
         powers = [ExactMatrix.from_columns(space)]
@@ -414,15 +414,13 @@ def _chain_tau(xsd_map: dict, cd: SymplecticChainData) -> ExactMatrix:
     block per level, it commutes with the shift X^l v -> X^{l+1} v."""
     tau_blocks: dict = {}
     for d in cd.parts:
-        xsd = xsd_map[d]
-        pairing = _bilinear(cd.gram[d])
+        xsd, g = xsd_map[d], cd.gram[d]
         if xsd.is_zero():
             tau_blocks[d] = ExactMatrix.identity(cd.counts[d])
             continue
-        tau_blocks[d] = _form_relative_reverser(xsd, pairing, odd=d % 2 == 1)
+        tau_blocks[d] = _form_relative_reverser(xsd, g, odd=d % 2 == 1)
         if not (tau_blocks[d] * xsd + xsd * tau_blocks[d]).is_zero():
             raise SelfCheckFailed("tau block fails to reverse")
-        g = cd.gram[d]
         if tau_blocks[d].transpose() * g * tau_blocks[d] != g:
             raise SelfCheckFailed("tau block breaks the chain form")
     return ExactMatrix.block_diagonal(
@@ -435,12 +433,13 @@ def build_tau(xsd_map: dict, cd: SymplecticChainData) -> ExactMatrix:
     return cd.from_chain(_chain_tau(xsd_map, cd))
 
 
-def _form_relative_reverser(xsd: ExactMatrix, pairing, odd: bool) -> ExactMatrix:
+def _form_relative_reverser(xsd: ExactMatrix, gram, odd: bool) -> ExactMatrix:
     """Involution-like swap of the +/- eigenspaces of xsd, exactly
-    preserving the given bilinear form (no normalization needed: the
-    second basis is solved to be dual to the first)."""
+    preserving the bilinear form with Gram matrix ``gram`` (the identity
+    when None; no normalization needed: the second basis is solved to be
+    dual to the first)."""
     try:
-        spaces = dict(eigenspaces(xsd, char_poly(xsd)))
+        spaces = eigenspaces(xsd, char_poly(xsd))
     except SpectrumNotSplit:
         raise SpectrumNotSplit(
             "semisimple block has eigenvalues outside Q(i)"
@@ -448,20 +447,11 @@ def _form_relative_reverser(xsd: ExactMatrix, pairing, odd: bool) -> ExactMatrix
     columns = []
     images = []
     eps = -ONE if odd else ONE
-    for lam, us in spaces.items():
-        if lam.is_zero() or lam != _pair_rep(lam):
-            continue
-        ws_raw = spaces.get(-lam, [])
-        if len(us) != len(ws_raw):
-            raise SelfCheckFailed("asymmetric eigenspaces in sp block")
-        ws = _dual_basis(us, ws_raw, pairing, ONE)
-        for u, w in zip(us, ws):
-            columns.append(u)
-            images.append(w)
-        for u, w in zip(us, ws):
-            columns.append(w)
-            images.append([eps * e for e in u])
-    for z in spaces.get(ZERO, []):
+    for _, u, w in _dual_pairs(spaces, gram, ONE):
+        us, ws = u.transpose().to_lists(), w.transpose().to_lists()
+        columns.extend(us + ws)
+        images.extend(ws + [[eps * e for e in v] for v in us])
+    for z in dict(spaces).get(ZERO, []):
         columns.append(z)
         images.append(z)
     p = ExactMatrix.from_columns(columns)

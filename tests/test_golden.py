@@ -161,6 +161,18 @@ def _build_cases():
         x = wire(sp_elements[name])
         cases[f"sl2-{name}"] = ["sl2", "--matrix", x]
         cases[f"chains-{name}"] = ["chains", "--matrix", x]
+    # a 4-dimensional kernel whose eigenspace basis is not symplectically
+    # paired, and an odd part of multiplicity 4 whose heads need clearing
+    v = [gr(e) for e in (-1, 0, 1, -1, 0, 1, -1, 0)]
+    sp4_kernel = (transvection(4, v, -ONE) * ExactMatrix.diagonal([0, 0, 1, 1, 0, 0, -1, -1])
+                  * transvection(4, v, ONE))
+    cases["witness-sp4-kernel"] = ["witness", "--ctx", ctx("sp", "Sp", 4),
+                                   "--matrix", wire(sp4_kernel)]
+    cases["reverse-sp4-kernel"] = ["reverse", "--matrix", wire(sp4_kernel)]
+    v = [gr(e) for e in (1, 0, 1, 0, 1, 1, 1, 1, -1, 0)]
+    nil61111 = (transvection(5, v, ONE) * nilpotent_from_partition([6, 1, 1, 1, 1])
+                * transvection(5, v, -ONE))
+    cases["chains-nil-6-1-1-1-1-conjugated"] = ["chains", "--matrix", wire(nil61111)]
     cases["jordan-gl3-mixed"] = [
         "jordan", "--matrix",
         wire(conj_unimodular(ExactMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, -1]]), 3)),

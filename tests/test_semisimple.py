@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adjreal
-from adjreal import matrix, polynomial, semisimple
-from adjreal.certificates import verify_certificate
+from adjreal import matrix, polynomial, semisimple, symplectic
+from adjreal.certificates import ReverserCertificate, verify_certificate
+from adjreal.cli import main
 from adjreal.errors import (
     AlgebraMismatch,
     NotRealizable,
     NotSemisimple,
+    SelfCheckFailed,
     SpectrumNotSplit,
 )
 from adjreal.gaussian import ONE, ZERO, gr
@@ -40,6 +42,8 @@ from adjreal.semisimple import (
     witness_general_semisimple,
     witness_semisimple,
 )
+
+from conftest import SMALL_SCALARS
 
 SL2 = LieContext("sl", "SL", 2)
 SL4 = LieContext("sl", "SL", 4)
@@ -611,9 +615,10 @@ def test_self_checks_survive_python_optimize():
         "    'symplectic': lambda: s._witness_symplectic_involution([ONE], LieContext('sp', 'Sp', 1)),\n"
         "    'so-pairs': lambda: s._so_eigenbasis(None, [(ONE, [[ONE, ZERO]])]),\n"
         "    'sp-pairs': lambda: s._sp_eigenbasis(None, [(ONE, [[ONE, ZERO]])], LieContext('sp', 'Sp', 1)),\n"
-        "    'symmetric-form': lambda: s._orthogonalize_symmetric([[ONE, I]], s._bilinear(None)),\n"
-        "    'antisymmetric-form': lambda: s._symplectic_pair_basis(\n"
-        "        [[ONE, ZERO]], s._bilinear(jn_matrix(1)), -ONE),\n"
+        "    'symmetric-form': lambda: s._orthogonalize_symmetric(\n"
+        "        ExactMatrix.from_rows([[1, 1], [1, 1]])),\n"
+        "    'antisymmetric-form': lambda: s._symplectic_pairs(\n"
+        "        ExactMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), -ONE),\n"
         "    'inexact-real': lambda: inexact((3, 0)),\n"
         "    'inexact-complex': lambda: inexact((1, 1)),\n"
         "    'det-wrong-pivot': wrong_pivot,\n"
@@ -713,3 +718,229 @@ def test_symplectic_involution_uses_no_inverse_or_product(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
     values = [gr(-2), ZERO, gr(2), gr(0, -1), gr(0, 1), gr(-2), gr(-2)]
     semisimple._witness_symplectic_involution(values, LieContext("sp", "Sp", len(values)))
+
+
+# -- bases adapted to a form, from its Gram matrix ---------------------------------
+
+
+def _reference_orthogonalize_symmetric(vectors, pairing):
+    """The symmetric Gram-Schmidt as first written, one pairing of two
+    vectors at a time: diagonal Gram, no normalization."""
+    rest = [list(v) for v in vectors]
+    out = []
+    while rest:
+        pidx = next(
+            (k for k, w in enumerate(rest) if not pairing(w, w).is_zero()), None
+        )
+        if pidx is None:
+            pidx, b = next(
+                ((a, b) for a in range(len(rest)) for b in range(a + 1, len(rest))
+                 if not pairing(rest[a], rest[b]).is_zero()),
+                (None, None),
+            )
+            if pidx is None:
+                raise SelfCheckFailed("degenerate symmetric form")
+            rest[pidx] = [x + y for x, y in zip(rest[pidx], rest[b])]
+        pivot = rest.pop(pidx)
+        out.append(pivot)
+        c = pairing(pivot, pivot)
+        rest = [
+            [x - (pairing(w, pivot) / c) * y for x, y in zip(w, pivot)] for w in rest
+        ]
+    return out
+
+
+def _reference_symplectic_pair_basis(vectors, pairing, target):
+    """The symplectic Gram-Schmidt as first written, with the clearing
+    signs mended: w + <q, w>/target p - <p, w>/target q pairs to zero
+    with both p and q."""
+    rest = [list(v) for v in vectors]
+    firsts, seconds = [], []
+    while rest:
+        p = rest.pop(0)
+        qidx = next(
+            (k for k, w in enumerate(rest) if not pairing(p, w).is_zero()), None
+        )
+        if qidx is None:
+            raise SelfCheckFailed("degenerate antisymmetric form")
+        q = rest.pop(qidx)
+        q = [e * (target / pairing(p, q)) for e in q]
+        firsts.append(p)
+        seconds.append(q)
+        new_rest = []
+        for w in rest:
+            alpha = pairing(q, w) / target
+            beta = -(pairing(p, w) / target)
+            new_rest.append([e + alpha * a + beta * b for e, a, b in zip(w, p, q)])
+        rest = [w for w in new_rest if any(not e.is_zero() for e in w)]
+    return firsts, seconds
+
+
+def _gram_pairing(g):
+    def pairing(u, v):
+        return sum((u[a] * g[a, b] * v[b] for a in range(g.rows) for b in range(g.rows)), ZERO)
+
+    return pairing
+
+
+@st.composite
+def _gram_matrices(draw, antisymmetric):
+    """Symmetric (optionally with a zero diagonal, so the pair-sum pivot
+    runs) or antisymmetric Gram matrices of size 1-8 with small entries."""
+    n = draw(st.integers(1, 8))
+    zero_diagonal = draw(st.booleans())
+    rows = [[ZERO] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if a == b and (antisymmetric or zero_diagonal):
+                continue
+            e = draw(st.sampled_from(SMALL_SCALARS))
+            rows[a][b], rows[b][a] = e, (-e if antisymmetric else e)
+    return ExactMatrix.from_rows(rows)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except SelfCheckFailed as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gram_matrices(antisymmetric=False))
+def test_orthogonalize_symmetric_matches_vector_reference(g):
+    units = ExactMatrix.identity(g.rows).to_lists()
+    got = _outcome(lambda: semisimple._orthogonalize_symmetric(g))
+    want = _outcome(lambda: _reference_orthogonalize_symmetric(units, _gram_pairing(g)))
+    if isinstance(want, str):
+        assert got == want
+        return
+    t, tgt = got
+    assert t == ExactMatrix.from_columns(want)
+    assert tgt == t.transpose() * g * t
+    assert tgt == ExactMatrix.diagonal([tgt[k, k] for k in range(g.rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gram_matrices(antisymmetric=True), st.sampled_from([ONE, -ONE, gr("1/2", 1)]))
+def test_symplectic_pairs_match_vector_reference(g, target):
+    units = ExactMatrix.identity(g.rows).to_lists()
+    got = _outcome(lambda: semisimple._symplectic_pairs(g, target))
+    want = _outcome(
+        lambda: _reference_symplectic_pair_basis(units, _gram_pairing(g), target)
+    )
+    if isinstance(want, str):
+        assert got == want
+        return
+    t, tgt = got
+    firsts, seconds = want
+    assert t == ExactMatrix.from_columns([w for pair in zip(firsts, seconds) for w in pair])
+    assert tgt == t.transpose() * g * t
+    block = ExactMatrix.from_rows([[ZERO, target], [-target, ZERO]])
+    assert tgt == ExactMatrix.block_diagonal([block] * (g.rows // 2))
+
+
+def _sp_transvection(n, v, c):
+    """I + c v (v^t J), which preserves J."""
+    vj = [v[k + n] if k < n else -v[k - n] for k in range(2 * n)]
+    return ExactMatrix.from_rows(
+        [[(ONE if i == j else ZERO) + c * v[i] * vj[j] for j in range(2 * n)]
+         for i in range(2 * n)]
+    )
+
+
+# diag(0, 0, 1, 1, 0, 0, -1, -1) in sp(4) conjugated by I - v v^t J with
+# v = (-1, 0, 1, -1, 0, 1, -1, 0): its 4-dimensional kernel comes out of
+# eigenspaces unpaired, so the symplectic zero block needs clearing
+_V = [gr(e) for e in (-1, 0, 1, -1, 0, 1, -1, 0)]
+_SP4_ZERO_BLOCK = (
+    _sp_transvection(4, _V, -ONE)
+    * ExactMatrix.diagonal([0, 0, 1, 1, 0, 0, -1, -1])
+    * _sp_transvection(4, _V, ONE)
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["witness", "--ctx", '{"algebra":"sp","group":"Sp","n":4}'],
+     ["witness", "--ctx", '{"algebra":"sp","group":"Sp","n":4}', "--involution"],
+     ["reverse"]],
+    ids=["witness", "witness-involution", "reverse"],
+)
+def test_cli_reverses_sp4_element_with_four_dimensional_kernel(capsys, argv):
+    matrix = json.dumps(_SP4_ZERO_BLOCK.to_json())
+    code = main([*argv, "--matrix", matrix])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    cert = ReverserCertificate.from_json(json.loads(out))
+    assert cert.element == _SP4_ZERO_BLOCK
+    assert verify_certificate(cert).ok
+
+
+@st.composite
+def _conjugated_sp_with_kernel(draw):
+    """diag(h, -h) in sp(n), n <= 5, with one to n zeros in h, after one or
+    two transvections with entries in {-1, 0, 1}."""
+    n = draw(st.integers(2, 5))
+    zeros = draw(st.integers(1, n))
+    pool = [gr(1), gr(2), gr(0, 1), gr(1, -1), gr(-1)]
+    h = [ZERO] * zeros + draw(st.lists(st.sampled_from(pool), min_size=n - zeros,
+                                       max_size=n - zeros))
+    h = draw(st.permutations(h))
+    x = ExactMatrix.diagonal(h + [-v for v in h])
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(st.lists(st.sampled_from([ZERO, ONE, -ONE]), min_size=2 * n,
+                          max_size=2 * n))
+        c = draw(st.sampled_from([ONE, -ONE]))
+        x = _sp_transvection(n, v, c) * x * _sp_transvection(n, v, -c)
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(_conjugated_sp_with_kernel())
+def test_conjugated_sp_with_kernel_witnesses_verify(x):
+    ctx = LieContext("sp", "Sp", x.rows // 2)
+    certs = [witness_general_semisimple(x, ctx, False), symplectic.reverse_full(x)]
+    if decide_semisimple(x, ctx).is_strongly_real == YES:
+        certs.append(witness_general_semisimple(x, ctx, True))
+    for cert in certs:
+        assert cert.element == x
+        assert verify_certificate(cert).ok
+
+
+def test_adapted_bases_apply_no_form_per_vector(monkeypatch):
+    """The so/sp eigenbases, the chain levels and the tau blocks pair
+    vectors through one Gram product: no mul_vector while they run."""
+    inside, calls = [], Counter()
+
+    def watched(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return run
+
+    right = ExactMatrix.mul_vector
+
+    def mul_vector(self, vec):
+        assert not inside, f"mul_vector inside {inside[-1]}"
+        return right(self, vec)
+
+    monkeypatch.setattr(ExactMatrix, "mul_vector", mul_vector)
+    for module, name in ((semisimple, "_so_eigenbasis"), (semisimple, "_sp_eigenbasis"),
+                         (symplectic, "_adapted_levels"),
+                         (symplectic, "_form_relative_reverser")):
+        monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
+    so = build_canonical(CanonicalSemisimple("so", (gr(1), gr(2)), 3))
+    assert verify_certificate(witness_general_semisimple(so, LieContext("so", "SO", 7), True)).ok
+    assert verify_certificate(
+        witness_general_semisimple(_SP4_ZERO_BLOCK, LieContext("sp", "Sp", 4), False)
+    ).ok
+    x = symplectic.mixed_from_partition([3, 3, 2, 2], {3: [gr(2)], 2: [gr(0, 1)]})[0]
+    assert verify_certificate(symplectic.reverse_full(x)).ok
+    assert set(calls) == {"_so_eigenbasis", "_sp_eigenbasis", "_adapted_levels",
+                          "_form_relative_reverser"}

@@ -1,5 +1,6 @@
 """sl2-triples, chain data, the sigma/tau factors, and full reversal."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from adjreal.errors import (
 from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr
 from adjreal.liecore import LieContext, algebra_member, jn_matrix
 from adjreal.matrix import ExactMatrix, _signed_conjugate, det, inverse, solve_linear
-from adjreal.semisimple import _bilinear, _symplectic_pair_basis
+from adjreal.semisimple import _symplectic_pairs
 from adjreal.symplectic import (
     Sl2Triple,
     _form_relative_reverser,
@@ -518,6 +519,62 @@ def test_reverse_full_on_conjugated_12x12_nilpotent_is_pinned():
     )
 
 
+# odd parts of multiplicity 4 after one transvection: the head pairs of
+# the odd part need clearing against each other
+_ODD_PART_CONJUGATES = [
+    ((6, 1, 1, 1, 1), ["1", "0", "1", "0", "1", "1", "1", "1", "-1", "0"]),
+    ((3, 3, 3, 3), ["0", "1", "1", "-1", "1", "1", "1", "0", "-1", "0", "0", "0"]),
+]
+
+
+def _normal_gram(g, d):
+    """gram[d]'s normal form: interleaved [[0, 1], [-1, 0]] blocks for odd
+    d, its own diagonal for even d."""
+    if d % 2 == 0:
+        return ExactMatrix.diagonal([g[k, k] for k in range(g.rows)])
+    block = ExactMatrix.from_rows([[0, 1], [-1, 0]])
+    return ExactMatrix.block_diagonal([block] * (g.rows // 2))
+
+
+@pytest.mark.parametrize("parts, v", _ODD_PART_CONJUGATES, ids=str)
+def test_conjugated_odd_part_gram_is_pair_normal(parts, v):
+    x = _conjugated(nilpotent_from_partition(parts), [v])
+    cd = chain_decomposition(x)
+    assert cd.partition() == list(parts)
+    for d in cd.parts:
+        assert cd.gram[d] == _normal_gram(cd.gram[d], d)
+    assert verify_certificate(reverse_full(x)).ok
+
+
+def _rechosen_heads(cd, d, t):
+    """cd with the d-heads changed by U -> U T on every level: a chain
+    basis that still carries its form, with gram[d] -> T^t gram[d] T."""
+    m = ExactMatrix.block_diagonal(
+        [t if dd == d else ExactMatrix.identity(cd.counts[dd])
+         for dd in cd.parts for _ in range(dd)]
+    )
+    gram = dict(cd.gram)
+    gram[d] = t.transpose() * cd.gram[d] * t
+    return dataclasses.replace(
+        cd, gram=gram, basis=cd.basis * m, basis_inverse=inverse(m) * cd.basis_inverse
+    )
+
+
+@pytest.mark.parametrize(
+    "parts, d, t",
+    [([2, 1, 1], 1, ExactMatrix.diagonal([1, 2])),
+     ([2, 2], 2, ExactMatrix.from_rows([[1, 1], [0, 1]]))],
+)
+def test_validate_wants_the_normal_chain_gram(parts, d, t):
+    """A head change keeps B^t J B = Q but moves gram[d] off its normal
+    form: [[0, 2], [-2, 0]] for the odd part, a non-diagonal one for the
+    even part."""
+    cd = chain_decomposition(nilpotent_from_partition(parts))
+    _rechosen_heads(cd, d, ExactMatrix.identity(t.rows)).validate()
+    with pytest.raises(SelfCheckFailed, match="^chain form is not in normal form$"):
+        _rechosen_heads(cd, d, t).validate()
+
+
 def _conjugated_mixed_8x8():
     """(X, X_s, X_n) for the mixed (4,4) element with parameter i, all
     three conjugated by the first 8x8 transvection."""
@@ -677,10 +734,11 @@ def _reference_model(parts, params):
 
 
 def _reference_isometry(qp):
-    """T with T^t J T = Q' by symplectic Gram-Schmidt on unit vectors."""
-    units = ExactMatrix.identity(qp.rows).to_lists()
-    firsts, seconds = _symplectic_pair_basis(units, _bilinear(qp), -ONE)
-    return inverse(ExactMatrix.from_columns(firsts + seconds))
+    """T with T^t J T = Q' by symplectic Gram-Schmidt on Q': the inverse
+    of the pairs (p_a | q_a) that bring Q' to J."""
+    pairs, _ = _symplectic_pairs(qp, -ONE)
+    columns = [pairs.column(k) for k in range(pairs.cols)]
+    return inverse(ExactMatrix.from_columns(columns[0::2] + columns[1::2]))
 
 
 def _builder_params(parts):
@@ -717,7 +775,7 @@ def test_model_builders_use_no_inverse_product_or_gram_schmidt(monkeypatch):
     for module in ("matrix", "semisimple", "symplectic"):
         monkeypatch.setattr(f"adjreal.{module}.inverse", refuse)
     for module in ("semisimple", "symplectic"):
-        monkeypatch.setattr(f"adjreal.{module}._symplectic_pair_basis", refuse)
+        monkeypatch.setattr(f"adjreal.{module}._symplectic_pairs", refuse)
     monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
     parts = (10, 8, 6, 4, 2)
     nilpotent_from_partition(parts)

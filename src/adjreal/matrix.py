@@ -903,33 +903,28 @@ def is_semisimple(x: ExactMatrix, chi: ExactPoly | None = None) -> bool:
     """True iff X is diagonalizable, i.e. the squarefree part q of its
     characteristic polynomial chi (computed unless given) annihilates X.
 
-    Tested on the Hessenberg form H: q(H) e_s = 0 at each block start s
-    (s = 0 and every index after a zero subdiagonal entry), by Horner on
-    vectors.  That is exact, because those e_s generate C^n as a
-    C[H]-module and q(H) commutes with H.
+    q(X) e_s = 0 is tested by Horner on X's own Gaussian-integer columns,
+    only for the unit vectors e_s outside the X-invariant span of the
+    earlier ones; that span grows in one echelon by e_s, X e_s, ... up to
+    the first dependence.  The e_s tested generate C^n as a C[X]-module
+    and q(X) commutes with X, so the test is exact.
     """
-    h = hessenberg(x)
-    q = squarefree_part(char_poly(h) if chi is None else chi)
-    n = h.rows
-    # nonzero entries of each column of H, which end at the subdiagonal
-    cols = [
-        [(i, h[i, j]) for i in range(min(j + 2, n)) if not h[i, j].is_zero()]
-        for j in range(n)
-    ]
+    if not x.is_square():
+        raise SizeMismatch("diagonalizability of a non-square matrix")
+    q = squarefree_part(char_poly(x) if chi is None else chi)
+    n, cleared, span = x.rows, _cleared_columns(x), _Echelon()
     for s in range(n):
-        if s and not h[s, s - 1].is_zero():
+        row = span.reduce({s: (1, 0)})
+        if not row:
             continue
-        v = [ZERO] * n
-        for c in reversed(q.coeffs):
-            hv = [ZERO] * n
-            for j, vj in enumerate(v):
-                if not vj.is_zero():
-                    for i, hij in cols[j]:
-                        hv[i] = hv[i] + hij * vj
-            hv[s] = hv[s] + c
-            v = hv
-        if not all(e.is_zero() for e in v):
+        unit = [ONE if i == s else ZERO for i in range(n)]
+        if any(not e.is_zero() for e in _poly_on_vector(q, cleared, unit)):
             return False
+        w = {s: (1, 0)}
+        while row:
+            span.add(row)
+            w = _apply(cleared[1], w)
+            row = span.reduce(w)
     return True
 
 

@@ -12,8 +12,8 @@ diagonalizable element to canonical shape first (requires the spectrum to
 split over Q(i)) and transports the canonical witness back.  Its
 eigenvalues are the roots of chi's squarefree part, and when chi splits
 its eigenspaces also settle diagonalizability (their dimensions add up to
-n), so the Horner test of ``is_semisimple`` runs only in ``decide`` and
-when chi does not split.
+n), so ``is_semisimple``'s Horner test on X's own columns runs only in
+``decide`` and when chi does not split.
 
 Verdict reason vocabulary: ZeroElement, SpectrumAsymmetric,
 SpectrumSymmetric, ZeroEigenvalue, NMod4, OrthogonalAlwaysStrong,
@@ -49,7 +49,6 @@ from .matrix import (
     char_poly,
     det,
     eigenspaces,
-    hessenberg,
     inverse,
     is_semisimple,
 )
@@ -89,14 +88,13 @@ class RealityVerdict:
             raise ParseError(f"bad verdict JSON: {exc}") from exc
 
 
-def _member_char_poly(x: ExactMatrix, ctx: LieContext):
+def _member_char_poly(x: ExactMatrix, ctx: LieContext) -> ExactPoly:
     """Check that x is an element of the context algebra and return its
-    Hessenberg form and characteristic polynomial, the only spectral data
-    the verdicts and witnesses need."""
+    characteristic polynomial, the only spectral data the verdicts and
+    witnesses need."""
     if not algebra_member(x, ctx):
         raise AlgebraMismatch(f"element is not in {ctx.algebra}({ctx.n})")
-    h = hessenberg(x)
-    return h, char_poly(h)
+    return char_poly(x)
 
 
 _NOT_DIAGONALIZABLE = "element is not diagonalizable"
@@ -155,8 +153,8 @@ def _spectral_verdict(chi: ExactPoly, ctx: LieContext) -> RealityVerdict:
 
 def decide_semisimple(x: ExactMatrix, ctx: LieContext) -> RealityVerdict:
     """Reality verdict for a semisimple element under the context group."""
-    h, chi = _member_char_poly(x, ctx)
-    if not is_semisimple(h, chi):
+    chi = _member_char_poly(x, ctx)
+    if not is_semisimple(x, chi):
         raise NotSemisimple(_NOT_DIAGONALIZABLE)
     if x.is_zero():
         cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, True)
@@ -502,14 +500,14 @@ def witness_general_semisimple(
     does not split is the Horner test run, so that NotSemisimple still
     wins over SpectrumNotSplit.
     """
-    h, chi = _member_char_poly(x, ctx)
+    chi = _member_char_poly(x, ctx)
     if x.is_zero():
         cert = ReverserCertificate(x, ExactMatrix.identity(x.rows), ctx, want_involution)
         return _verified(cert, "identity witness of the zero element")
     try:
         eigen = eigenspaces(x, chi)
     except SpectrumNotSplit:
-        if not is_semisimple(h, chi):
+        if not is_semisimple(x, chi):
             raise NotSemisimple(_NOT_DIAGONALIZABLE) from None
         raise
     if sum(len(basis) for _, basis in eigen) != x.rows:

@@ -599,6 +599,11 @@ def test_kernel_shape_errors():
         a.mul_vector([ONE, ONE])
     with pytest.raises(SizeMismatch):
         det(a)
+    for chi in (None, ExactPoly.one()):
+        with pytest.raises(SizeMismatch):
+            is_semisimple(a, chi)
+        with pytest.raises(SizeMismatch):
+            is_semisimple(a.transpose(), chi)
 
 
 def test_invariant_factor_chain_and_product(rng):

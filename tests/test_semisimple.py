@@ -43,7 +43,7 @@ from adjreal.semisimple import (
     witness_semisimple,
 )
 
-from conftest import SMALL_SCALARS
+from conftest import SMALL_SCALARS, conjugated_jordan_matrices
 
 SL2 = LieContext("sl", "SL", 2)
 SL4 = LieContext("sl", "SL", 4)
@@ -571,6 +571,157 @@ def test_witness_dense_sl30_is_pinned():
     assert digest == "701bb370038fdb3a07bfbf29e55c5b61311fc8f6495f5dc5e39e838958e0034d"
 
 
+def test_decide_dense_sl30():
+    v = decide_semisimple(_dense_sl(30), LieContext("sl", "SL", 30))
+    assert (v.is_real, v.is_strongly_real, v.reason) == (YES, NO, "NMod4")
+
+
+@pytest.mark.parametrize("command", ["decide", "witness"])
+def test_dense_sl30_with_one_jordan_block_is_not_semisimple(capsys, command):
+    """J_2(1) + diag(-1, -1, +-2..+-14), densely conjugated in sl(30)."""
+    rest = [gr(-1), gr(-1)] + [gr(s * k) for k in range(2, 15) for s in (1, -1)]
+    p = _unimodular(random.Random(30), 30, 2)
+    x = p * ExactMatrix.block_diagonal([_J2, ExactMatrix.diagonal(rest)]) * minv(p)
+    ctx = '{"algebra":"sl","group":"SL","n":30}'
+    assert main([command, "--ctx", ctx, "--matrix", json.dumps(x.to_json())]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "NotSemisimple", "message": "element is not diagonalizable"}
+
+
+# -- diagonalizability on X's own columns -------------------------------------------
+
+
+def _reference_generators(x):
+    """The unit vectors e_s outside the X-invariant span of the earlier
+    ones, by ranks of explicit Krylov vectors e_s, X e_s, ..."""
+    n, span, chosen = x.rows, [], []
+    for s in range(n):
+        unit = [ONE if i == s else ZERO for i in range(n)]
+        if span and matrix.rank(ExactMatrix.from_rows(span + [unit])) == len(span):
+            continue
+        chosen.append(s)
+        v = unit
+        while matrix.rank(ExactMatrix.from_rows(span + [v])) > len(span):
+            span.append(v)
+            v = x.mul_vector(v)
+    return chosen
+
+
+def _tested_generators(x, chi=None):
+    """(is_semisimple(x, chi), the index s of each e_s it applied q(X) to)."""
+    seen, original = [], matrix._poly_on_vector
+
+    def spy(p, cleared, v):
+        seen.append(v.index(ONE))
+        return original(p, cleared, v)
+
+    matrix._poly_on_vector = spy
+    try:
+        return matrix.is_semisimple(x, chi), seen
+    finally:
+        matrix._poly_on_vector = original
+
+
+def _annihilated_by_squarefree_part(x):
+    return matrix.eval_poly(polynomial.squarefree_part(matrix.char_poly(x)), x).is_zero()
+
+
+_RESCALE = [gr(1), gr(2), gr("1/3"), gr("5/7"), gr(1, 1), gr("1/2", "-3/4")]
+
+
+@st.composite
+def _rescaled_jordan_matrices(draw):
+    """Derogatory conjugated Jordan forms (scalar, zero and 1 x 1 matrices
+    among them) or diagonal matrices with repeated eigenvalues conjugated
+    by L U (unit triangular factors), then conjugated by a diagonal D
+    (X -> D X D^-1) so that the entries carry distinct denominators."""
+    if draw(st.sampled_from(["jordan", "diagonal"])) == "jordan":
+        x = draw(conjugated_jordan_matrices(min_size=1, max_size=7))
+    else:
+        values = draw(st.lists(st.sampled_from(SMALL_SCALARS), min_size=1, max_size=7))
+        n = len(values)
+        low, up = ExactMatrix.identity(n).to_lists(), ExactMatrix.identity(n).to_lists()
+        for i in range(n):
+            for j in range(i):
+                low[i][j] = draw(st.sampled_from(SMALL_SCALARS))
+                up[j][i] = draw(st.sampled_from(SMALL_SCALARS))
+        p = ExactMatrix.from_rows(low) * ExactMatrix.from_rows(up)
+        x = p * ExactMatrix.diagonal(values) * minv(p)
+    n = x.rows
+    d = [draw(st.sampled_from(_RESCALE)) for _ in range(n)]
+    return ExactMatrix(n, n, [x[i, j] * d[i] / d[j] for i in range(n) for j in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rescaled_jordan_matrices())
+def test_is_semisimple_matches_squarefree_annihilation(x):
+    """q(X) = 0 for q the squarefree part of chi, tested on the generators
+    that the Krylov spans pick, with or without chi given."""
+    expected = _annihilated_by_squarefree_part(x)
+    got, seen = _tested_generators(x)
+    assert got == expected
+    assert _tested_generators(x, matrix.char_poly(x))[0] == expected
+    generators = _reference_generators(x)
+    if expected:
+        assert seen == generators
+    else:  # the first failing generator ends the test
+        assert seen and seen == generators[: len(seen)]
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (ExactMatrix.zeros(3), [0, 1, 2]),
+        (ExactMatrix.from_rows([[gr("5/3", 2)]]), [0]),
+        (ExactMatrix.zeros(1), [0]),
+        (ExactMatrix.diagonal([gr(1), gr(1), gr(2), gr(2)]), [0, 1, 2, 3]),
+    ],
+    ids=["zero", "one-by-one", "one-by-one-zero", "derogatory-diagonal"],
+)
+def test_is_semisimple_on_edge_cases(x, expected):
+    assert _tested_generators(x) == (True, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(SMALL_SCALARS), min_size=2, max_size=2, unique=True),
+    st.sampled_from(SMALL_SCALARS[1:]),
+    st.sampled_from(SMALL_SCALARS),
+    st.lists(st.sampled_from(SMALL_SCALARS), min_size=4, max_size=4),
+)
+def test_later_generator_finds_a_conjugated_jordan_block(ab, c, lam, p):
+    """X = [[a, 0], [c, b]] + P J_2(lam) P^-1: e_0 spans the first block,
+    so e_1 is skipped, and only a generator of index >= 2 sees the Jordan
+    block."""
+    p = ExactMatrix(2, 2, p)
+    if det(p).is_zero():
+        return
+    j2 = ExactMatrix.from_rows([[lam, ONE], [ZERO, lam]])
+    first = ExactMatrix.from_rows([[ab[0], ZERO], [c, ab[1]]])
+    x = ExactMatrix.block_diagonal([first, p * j2 * minv(p)])
+    got, seen = _tested_generators(x)
+    assert got is False is _annihilated_by_squarefree_part(x)
+    assert seen[0] == 0 and 1 not in seen and seen[-1] >= 2
+    assert seen == _reference_generators(x)[: len(seen)]
+
+
+def test_is_semisimple_runs_one_horner_per_generator_and_no_hessenberg(monkeypatch):
+    """Given chi, is_semisimple takes no Hessenberg form: the cyclic dense
+    sl(16) needs one Horner run (on e_0), diag(1, 1, 2, 2) one per unit
+    vector.  decide takes the Hessenberg form once, inside char_poly."""
+    x = _dense_sl(16)
+    chi = matrix.char_poly(x)
+    diagonal = ExactMatrix.diagonal([gr(1), gr(1), gr(2), gr(2)])
+    diagonal_chi = matrix.char_poly(diagonal)
+    calls = Counter()
+    monkeypatch.setattr(matrix, "hessenberg", _counting(calls, "hessenberg", matrix.hessenberg))
+    assert _tested_generators(x, chi) == (True, [0])
+    assert _tested_generators(diagonal, diagonal_chi) == (True, [0, 1, 2, 3])
+    assert calls == {}
+    decide_semisimple(x, LieContext("sl", "SL", 16))
+    assert calls == {"hessenberg": 1}
+
+
 # -- typed self-checks ------------------------------------------------------------
 
 
@@ -777,8 +928,19 @@ def _reference_symplectic_pair_basis(vectors, pairing, target):
 
 
 def _gram_pairing(g):
+    """u^t G v, summed over the nonzero terms only (the value is the full
+    sum's)."""
+    entries = [
+        (a, b, g[a, b]) for a in range(g.rows) for b in range(g.rows)
+        if not g[a, b].is_zero()
+    ]
+
     def pairing(u, v):
-        return sum((u[a] * g[a, b] * v[b] for a in range(g.rows) for b in range(g.rows)), ZERO)
+        total = ZERO
+        for a, b, e in entries:
+            if not (u[a].is_zero() or v[b].is_zero()):
+                total = total + u[a] * e * v[b]
+        return total
 
     return pairing
 

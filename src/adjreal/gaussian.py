@@ -234,7 +234,14 @@ def _cleared(values):
     listed for the nonzero values only."""
     d = 1
     for v in values:
-        d = math.lcm(d, v.re.denominator, v.im.denominator)
+        a, b = v.re.denominator, v.im.denominator
+        if a != 1 or b != 1:
+            d = math.lcm(d, a, b)
+    if d == 1:
+        return d, [
+            (k, v.re.numerator, v.im.numerator)
+            for k, v in enumerate(values) if v.re or v.im
+        ]
     return d, [
         (k, v.re.numerator * (d // v.re.denominator),
          v.im.numerator * (d // v.im.denominator))

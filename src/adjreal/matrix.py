@@ -8,10 +8,12 @@ time: sparse fraction-free Gauss-Jordan elimination over the Gaussian
 integers.  Each row is cleared of its denominators once (for
 ``inverse``, each column), every pivot equals one common denominator,
 each update divides exactly in Z[i] by the previous one, and each entry
-that is read is divided back once.  Products and matrix-vector products
-also run over Gaussian integers: rows (and, for a product's right
-factor, columns) are cleared of their denominators, the sums are taken
-in Python ints, and the result is divided back once per entry.  The
+that is read is divided back once.  A matrix keeps its rows once they
+are cleared (see ``ExactMatrix``), so products and matrix-vector
+products run over Gaussian integers from one to the next: the left
+factor's rows and the right factor's columns are read cleared, the sums
+are taken in Python ints, and the result is kept as its rows over Z[i],
+each in lowest terms, until an entry is read.  The
 Smith-form reduction picks the minimal-degree nonzero entry with ties
 broken in row-major order, so repeated runs produce identical invariant
 factors.
@@ -23,6 +25,7 @@ JSON wire format for matrices:
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     InconsistentSystem,
@@ -44,9 +47,23 @@ def json_int(value, what: str) -> int:
 
 
 class ExactMatrix:
-    """Immutable dense matrix of GaussRat entries, row-major."""
+    """Immutable dense matrix over Q(i), row-major, held in one or both of
+    two forms, each built from the other when first read:
 
-    __slots__ = ("rows", "cols", "entries")
+    - ``entries``, the tuple of GaussRat entries;
+    - its cleared rows, row i as (d_i, [(j, re, im)]): d_i is the row's
+      least common denominator and re + im*i = d_i * entry (i, j) in
+      Python ints, listed for the nonzero entries in column order.  The
+      form is canonical (d_i is minimal, so it is prime to the parts), so
+      two matrices are equal exactly when their cleared rows are.
+
+    Products, transposes, negation, equality, hashing and the elimination
+    engine read the cleared rows, and products, transposes, negation and
+    ``inverse`` return a matrix that holds only them.  Sums, scaling and
+    entry access read ``entries``; ``is_zero`` reads the form at hand.
+    """
+
+    __slots__ = ("rows", "cols", "_entries", "_rows_zi")
 
     def __init__(self, rows: int, cols: int, entries):
         es = tuple(
@@ -58,7 +75,34 @@ class ExactMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = es
+        self._entries = es
+        self._rows_zi = None
+
+    @staticmethod
+    def _from_cleared(rows: int, cols: int, cleared) -> "ExactMatrix":
+        """The matrix whose cleared rows are ``cleared`` (canonical)."""
+        out = object.__new__(ExactMatrix)
+        out.rows, out.cols, out._entries, out._rows_zi = rows, cols, None, cleared
+        return out
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            m = self.cols
+            flat = [ZERO] * (self.rows * m)
+            for i, (d, row) in enumerate(self._rows_zi):
+                base = i * m
+                for j, re, im in row:
+                    flat[base + j] = GaussRat(rational(re, d), rational(im, d))
+            self._entries = tuple(flat)
+        return self._entries
+
+    def _cleared_rows(self):
+        """Row i as (d_i, [(j, re, im)]), see the class docstring."""
+        if self._rows_zi is None:
+            m, es = self.cols, self._entries
+            self._rows_zi = [_cleared(es[i * m : (i + 1) * m]) for i in range(self.rows)]
+        return self._rows_zi
 
     # -- constructors ------------------------------------------------------
 
@@ -127,7 +171,7 @@ class ExactMatrix:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
     def column(self, j: int):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return list(self.entries[j :: self.cols])
 
     def to_lists(self):
         return [self.row_list(i) for i in range(self.rows)]
@@ -141,7 +185,9 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        if self._rows_zi is None:  # clearing would cost more than looking
+            return all(e.is_zero() for e in self._entries)
+        return not any(row for _, row in self._rows_zi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -149,11 +195,13 @@ class ExactMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._cleared_rows() == other._cleared_rows()
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(
+            (d, tuple(row)) for d, row in self._cleared_rows()
+        )))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,7 +224,9 @@ class ExactMatrix:
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return ExactMatrix._from_cleared(self.rows, self.cols, [
+            (d, [(j, -re, -im) for j, re, im in row]) for d, row in self._cleared_rows()
+        ])
 
     def plus_scalar(self, c: GaussRat) -> "ExactMatrix":
         """X + c*I for square X; touches only the diagonal."""
@@ -200,32 +250,34 @@ class ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise SizeMismatch("inner dimensions differ")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        # row i of A is a_i / d_i and column j of B is b_j / e_j over Z[i],
-        # so entry (i, j) of the product is (a_i . b_j) / (d_i e_j)
-        right = [[] for _ in range(k)]  # row t of B: (j, re, im)
-        col_den = []
-        for j in range(m):
-            e, col = _cleared(b[j::m])
-            col_den.append(e)
-            for t, br, bi in col:
-                right[t].append((j, br, bi))
-        flat = [ZERO] * (n * m)
-        for i in range(n):
-            d, row = _cleared(a[i * k : (i + 1) * k])
+        # row i of A is a_i / d_i and column j of B is b_j / c_j over Z[i], so
+        # entry (i, j) of AB is (a_i . b_j) / (d_i c_j): row i of AB is the
+        # row of the (a_i . b_j) (e / c_j) over d_i e, for e the lcm of the c_j.
+        # Clearing B by columns keeps the b_j, and so the sums, short; a B
+        # over Z[i] has c_j = 1 and is read by its rows as they are.
+        m, out = other.cols, []
+        right = other._cleared_rows()  # row t of B: (j, re, im)
+        if all(d == 1 for d, _ in right):
+            right, e, scale = [row for _, row in right], 1, [1] * m
+        else:
+            columns = other.transpose()._cleared_rows()
+            right = [[] for _ in range(other.rows)]
+            for j, (_, column) in enumerate(columns):
+                for t, br, bi in column:
+                    right[t].append((j, br, bi))
+            e = math.lcm(*(c for c, _ in columns))
+            scale = [e // c for c, _ in columns]
+        for d, row in self._cleared_rows():
             acc_re, acc_im = [0] * m, [0] * m
             for t, ar, ai in row:
                 for j, br, bi in right[t]:
                     acc_re[j] += ar * br - ai * bi
                     acc_im[j] += ar * bi + ai * br
-            base = i * m
-            for j in range(m):
-                re, im = acc_re[j], acc_im[j]
-                if re or im:
-                    den = d * col_den[j]
-                    flat[base + j] = GaussRat(rational(re, den), rational(im, den))
-        return ExactMatrix(n, m, flat)
+            out.append(_lowest_terms(d * e, [
+                (j, s * re, s * im)
+                for j, (re, im, s) in enumerate(zip(acc_re, acc_im, scale)) if re or im
+            ]))
+        return ExactMatrix._from_cleared(self.rows, m, out)
 
     __rmul__ = scale
 
@@ -235,11 +287,22 @@ class ExactMatrix:
         return list((self * ExactMatrix(len(vec), 1, vec)).entries)
 
     def transpose(self) -> "ExactMatrix":
-        flat = [ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                flat[j * self.rows + i] = self[i, j]
-        return ExactMatrix(self.cols, self.rows, flat)
+        # column j over the lcm e_j of the d_i of its nonzero entries
+        rows = self._cleared_rows()
+        dens = [1] * self.cols
+        for d, row in rows:
+            if d != 1:
+                for j, _, _ in row:
+                    if dens[j] % d:
+                        dens[j] = math.lcm(dens[j], d)
+        columns = [[] for _ in range(self.cols)]
+        for i, (d, row) in enumerate(rows):
+            for j, re, im in row:
+                s = dens[j] // d
+                columns[j].append((i, s * re, s * im) if s != 1 else (i, re, im))
+        return ExactMatrix._from_cleared(self.cols, self.rows, [
+            _lowest_terms(e, column) for e, column in zip(dens, columns)
+        ])
 
     def trace(self) -> GaussRat:
         if not self.is_square():
@@ -302,6 +365,19 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
+
+
+def _lowest_terms(den: int, row):
+    """The cleared form (d, row') of row / den, for a positive den and a
+    sparse Gaussian-integer row [(j, re, im)]: both divided by their gcd."""
+    if not row:
+        return 1, row
+    g = den
+    for _, re, im in row:
+        g = math.gcd(g, re, im)
+        if g == 1:
+            return den, row
+    return den // g, [(j, re // g, im // g) for j, re, im in row]
 
 
 def _cleared_dict(values) -> dict:
@@ -471,20 +547,20 @@ def _rref(rows) -> _Echelon:
 
 def _sparse_rows(a: ExactMatrix):
     """The rows of a, each cleared to Gaussian integers."""
-    m, es = a.cols, a.entries
-    return [_cleared_dict(es[i * m : (i + 1) * m]) for i in range(a.rows)]
+    return [{j: (re, im) for j, re, im in row} for _, row in a._cleared_rows()]
 
 
 def _cleared_columns(a: ExactMatrix):
     """(d, columns): a = M / d with M over Z[i] and d the lcm of the
     denominators of a; column j of M as a list of its nonzero entries
     (i, re, im)."""
-    n = a.cols
-    d, entries = _cleared(a.entries)
-    columns = [[] for _ in range(n)]
-    for idx, re, im in entries:
-        i, j = divmod(idx, n)
-        columns[j].append((i, re, im))
+    rows = a._cleared_rows()
+    d = math.lcm(*(di for di, _ in rows))
+    columns = [[] for _ in range(a.cols)]
+    for i, (di, row) in enumerate(rows):
+        s = d // di
+        for j, re, im in row:
+            columns[j].append((i, s * re, s * im))
     return d, columns
 
 
@@ -630,8 +706,7 @@ def det(a: ExactMatrix) -> GaussRat:
     if not a.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
     n, rows, den = a.rows, [], 1
-    for i in range(n):
-        d, row = _cleared(a.entries[i * n : (i + 1) * n])
+    for d, row in a._cleared_rows():
         den *= d
         rows.append({j: (re, im) for j, re, im in row})
     order = sorted(range(n), key=lambda i: len(rows[i]))  # as _rref takes them
@@ -651,26 +726,29 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
         raise SizeMismatch("inverse of a non-square matrix")
     n = a.rows
     rows = [{n + i: (1, 0)} for i in range(n)]
-    col_den = []
-    for j in range(n):
-        c, column = _cleared(a.entries[j::n])
-        col_den.append(c)
+    columns = a.transpose()._cleared_rows()
+    for j, (_, column) in enumerate(columns):
         for i, re, im in column:
             rows[i][j] = (re, im)
     echelon = _rref(rows)
     pivots = echelon.pivots
     if any(c not in pivots for c in range(n)):
         raise SingularMatrix("matrix is not invertible")
-    flat = []
-    for i in range(n):
-        row, c = pivots[i], col_den[i]
-        for j in range(n):
-            if n + j in row:
-                xr, xi = row[n + j]
-                flat.append(echelon.value((c * xr, c * xi)))
-            else:
-                flat.append(ZERO)
-    return ExactMatrix(n, n, flat)
+    # row i of A^-1 is c_i times the pivot row of column i, over den:
+    # z / den = z u / den' with den' = |den| (u = +-1) or N(den) (u = conj den)
+    dr, di = echelon.den
+    if di:
+        den, ur, ui = dr * dr + di * di, dr, -di
+    else:
+        den, ur, ui = abs(dr), (1 if dr > 0 else -1), 0
+    out = []
+    for i, (c, _) in enumerate(columns):
+        row = [
+            (k - n, c * (xr * ur - xi * ui), c * (xr * ui + xi * ur))
+            for k, (xr, xi) in sorted(pivots[i].items())
+        ]
+        out.append(_lowest_terms(den, row))
+    return ExactMatrix._from_cleared(n, n, out)
 
 
 def _signed_conjugate(m: ExactMatrix, images) -> ExactMatrix:

@@ -570,6 +570,136 @@ def test_inverse_matches_gaussrat_gauss_jordan(data, n):
         assert inverse(a) == ExactMatrix(n, n, expected)
 
 
+# A product keeps its rows over Z[i] and builds GaussRat entries only when
+# they are read.  Every operation that reads or returns that form is
+# compared with GaussRat arithmetic on plain lists, on matrices whose
+# rows and columns carry different denominators.
+
+_ROW_DENS = st.sampled_from([1, 2, 3, 5, 2**61 - 1])
+_COL_DENS = st.sampled_from([1, 4, 9, 7, 3**40])
+_PARTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def _grids(draw, rows, cols):
+    """A rows x cols list of lists of GaussRat: entry (i, j) is
+    a / (r_i c_j) + b / r_i * i for row and column denominators r_i and
+    c_j, with one row and one column often zero."""
+    r = [draw(_ROW_DENS) for _ in range(rows)]
+    c = [draw(_COL_DENS) for _ in range(cols)]
+    zero_row = draw(st.integers(-1, rows - 1))
+    zero_col = draw(st.integers(-1, cols - 1))
+    return [
+        [
+            ZERO if zero_row == i or zero_col == j
+            else GaussRat(rational(draw(_PARTS), r[i] * c[j]), rational(draw(_PARTS), r[i]))
+            for j in range(cols)
+        ]
+        for i in range(rows)
+    ]
+
+
+def _grid_product(a, b, cols):
+    inner = len(b)
+    return [
+        [sum((row[t] * b[t][j] for t in range(inner)), ZERO) for j in range(cols)]
+        for row in a
+    ]
+
+
+def _as_matrix(grid, cols):
+    return ExactMatrix(len(grid), cols, [e for row in grid for e in row])
+
+
+def _check_against_grid(got, grid, cols):
+    """got (from products) holds the values of grid: entries, equality and
+    hash, transpose and negation in both forms."""
+    flat = tuple(e for row in grid for e in row)
+    built = _as_matrix(grid, cols)
+    assert got.entries == flat
+    assert got == built and hash(got) == hash(built)
+    assert got.is_zero() == built.is_zero() == all(e.is_zero() for e in flat)
+    transposed = tuple(grid[i][j] for j in range(cols) for i in range(len(grid)))
+    assert got.transpose().entries == built.transpose().entries == transposed
+    assert (-got).entries == (-built).entries == tuple(-e for e in flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+def test_cleared_rows_match_gaussrat_reference(data, n, k, l, m):
+    a, b, c = data.draw(_grids(n, k)), data.draw(_grids(k, l)), data.draw(_grids(l, m))
+    ma, mb, mc = _as_matrix(a, k), _as_matrix(b, l), _as_matrix(c, m)
+    ab = _grid_product(a, b, l)
+    abc = _grid_product(ab, c, m)
+    _check_against_grid(ma * mb, ab, l)
+    _check_against_grid(ma * mb * mc, abc, m)
+    _check_against_grid(ma * (mb * mc), abc, m)
+    if n and l:  # 1 x k and k x 1 factors
+        _check_against_grid(_as_matrix(a[:1], k) * mb, ab[:1], l)
+        column = [[row[0]] for row in b]
+        _check_against_grid(ma * _as_matrix(column, 1), _grid_product(a, column, 1), 1)
+    vec = data.draw(_grids(1, l))[0]
+    expected = [e for row in _grid_product(ab, [[v] for v in vec], 1) for e in row]
+    assert (ma * mb).mul_vector(vec) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 6))
+def test_eliminations_read_cleared_rows(data, n):
+    """det, inverse and kernel give the reference's values whether their
+    input holds entries or only the cleared rows of a product."""
+    a = _as_matrix(data.draw(_grids(n, n)), n)
+    product = a * ExactMatrix.identity(n)
+    assert det(product) == det(a) == _reference_det(a)
+    pivots = _reference_sparse_rref(_reference_rows(a))
+    expected = []
+    for f in (f for f in range(n) if f not in pivots):
+        vec = [ZERO] * n
+        vec[f] = ONE
+        for p, row in pivots.items():
+            vec[p] = -row.get(f, ZERO)
+        expected.append(vec)
+    assert kernel(product) == kernel(a) == expected
+    if len(pivots) < n:
+        with pytest.raises(SingularMatrix):
+            inverse(product)
+        return
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    pivots = _reference_sparse_rref(_reference_rows(a, identity))
+    flat = tuple(pivots[i].get(n + j, ZERO) for i in range(n) for j in range(n))
+    assert inverse(product).entries == inverse(a).entries == flat
+
+
+def test_product_chain_clears_each_factor_once(monkeypatch):
+    """In x * (x * (x * y)) the rows of x and of y are cleared once each,
+    and no product is cleared again: the products read one another's
+    Gaussian-integer rows."""
+    from adjreal import matrix
+
+    calls = []
+    original = matrix._cleared
+
+    def spy(values):
+        calls.append(tuple(values))
+        return original(values)
+
+    monkeypatch.setattr(matrix, "_cleared", spy)
+    x = ExactMatrix.from_rows([[gr("1/2"), I], [gr(3, "2/3"), gr(-1)]])
+    y = ExactMatrix.from_rows([[gr("5/7"), ZERO], [gr(0, "1/3"), gr(4)]])
+    out = x * (x * (x * y))
+    assert sorted(calls, key=repr) == sorted(
+        [tuple(x.row_list(i)) for i in range(2)] + [tuple(y.row_list(i)) for i in range(2)],
+        key=repr,
+    )
+    calls.clear()
+    transposed = out.transpose()
+    assert (out.entries, transposed.entries, calls) == (
+        tuple(_naive_product(x, _naive_product(x, _naive_product(x, y))).entries),
+        tuple(e for j in range(2) for e in out.column(j)),
+        [],
+    )
+
+
 def test_hessenberg_input_needs_no_inverse(monkeypatch):
     """Upper Hessenberg input comes back unchanged, without a single
     scalar inverse."""

@@ -294,7 +294,7 @@ def _sp_matrix_multiplicity_even(values) -> bool:
 def criterion_4_symplectic_semisimple(seed: int) -> CriterionResult:
     """Symplectic semisimple suite: strong reality iff every nonzero
     eigenvalue has even multiplicity; rank-one impossibility is checked
-    symbolically."""
+    on exact matrices over a grid that proves its polynomial identities."""
     rng = random.Random(seed + 4)
     pool = _nonzero_pool(2)
     failures: list = []

@@ -72,12 +72,9 @@ class LieContext:
 
 
 def jn_matrix(n: int) -> ExactMatrix:
-    """The symplectic structure matrix [[0, -I], [I, 0]] of size 2n."""
-    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for k in range(n):
-        rows[k][n + k] = -ONE
-        rows[n + k][k] = ONE
-    return ExactMatrix.from_rows(rows)
+    """The symplectic structure matrix [[0, -I], [I, 0]] of size 2n: the
+    monomial map e_k -> e_{n+k}, e_{n+k} -> -e_k."""
+    return ExactMatrix.monomial([(n + k, 1) for k in range(n)] + [(k, -1) for k in range(n)])
 
 
 def _check_size(x: ExactMatrix, ctx: LieContext):

@@ -136,6 +136,19 @@ class ExactMatrix:
         return ExactMatrix(n, n, flat)
 
     @staticmethod
+    def monomial(images) -> "ExactMatrix":
+        """The monomial matrix g with g e_k = s_k e_{i_k}, given as
+        images[k] = (i_k, s_k) with the i_k a permutation of 0..n-1 and
+        each s_k a unit (+-1 or +-i, as an int or a GaussRat): column k
+        holds s_k in row i_k and is zero elsewhere.  This is the
+        convention of ``_signed_conjugate``."""
+        n = len(images)
+        flat = [ZERO] * (n * n)
+        for k, (i, s) in enumerate(images):
+            flat[i * n + k] = s
+        return ExactMatrix(n, n, flat)
+
+    @staticmethod
     def from_columns(columns) -> "ExactMatrix":
         c = len(columns)
         r = len(columns[0]) if c else 0

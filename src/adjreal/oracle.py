@@ -1,5 +1,6 @@
 """Independent cross-checks: Krylov-based canonical form similarity,
-bounded-height reverser search, and closed-form symbolic obstructions.
+bounded-height reverser search, and a rank-one obstruction whose
+polynomial identities are checked on exact matrices over a grid.
 
 The canonical-form code deliberately avoids the Smith-form machinery: it
 computes invariant factors by the cyclic decomposition (maximal-order
@@ -399,79 +400,8 @@ def search_reverser(
 
 
 # ---------------------------------------------------------------------------
-# closed-form symbolic obstructions
+# obstructions checked on exact matrices over a grid
 # ---------------------------------------------------------------------------
-
-
-class BiPoly:
-    """Tiny exact polynomial in two commuting symbols b and c."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for key, val in (terms or {}).items():
-            if not val.is_zero():
-                self.terms[key] = val
-
-    @staticmethod
-    def const(v) -> "BiPoly":
-        if isinstance(v, int):
-            v = GaussRat.from_int(v)
-        return BiPoly({(0, 0): v})
-
-    @staticmethod
-    def b() -> "BiPoly":
-        return BiPoly({(1, 0): ONE})
-
-    @staticmethod
-    def c() -> "BiPoly":
-        return BiPoly({(0, 1): ONE})
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, ZERO) + val
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict = {}
-        for (i, j), u in self.terms.items():
-            for (k, l), v in other.terms.items():
-                key = (i + k, j + l)
-                out[key] = out.get(key, ZERO) + u * v
-        return BiPoly(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def evaluate(self, bval: GaussRat, cval: GaussRat) -> GaussRat:
-        out = ZERO
-        for (i, j), v in self.terms.items():
-            out = out + v * bval ** i * cval ** j
-        return out
-
-
-def _sym_mul_2x2(m1, m2):
-    return [
-        [
-            m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0],
-            m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1],
-        ],
-        [
-            m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0],
-            m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1],
-        ],
-    ]
 
 
 @dataclass
@@ -492,45 +422,38 @@ class ObstructionRecord:
 
 
 def sp1_involution_obstruction() -> ObstructionRecord:
-    """Machine-checked polynomial identities for the antidiagonal family
-    g = b E12 + c E21 (the full anticommutant of diag(x, -x), x != 0):
-    det g = -bc and g^2 = bc I, hence det g = 1 forces g^2 = -I, so the
-    rank-one symplectic group has no involutive reverser there."""
-    zero = BiPoly.const(0)
-    b, c = BiPoly.b(), BiPoly.c()
-    g = [[zero, b], [c, zero]]
-    det_g = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    g2 = _sym_mul_2x2(g, g)
-    bc = b * c
+    """Polynomial identities for the antidiagonal family g = b E12 + c E21
+    (the full anticommutant of diag(x, -x), x != 0): det g = -bc and
+    g^2 = bc I, hence det g = 1 forces g^2 = -I, so the rank-one
+    symplectic group has no involutive reverser there.
+
+    Each identity is checked on exact matrices at the nine points (b, c)
+    of {0, 1, 2}^2.  Every entry of g^2, det g and bc has degree at most 2
+    in b and in c, and a polynomial of degree at most 2 in each variable
+    that vanishes on a 3 x 3 grid is zero, so the grid proves the identity
+    on the whole family."""
+    family = [(b * c, ExactMatrix(2, 2, [0, b, c, 0])) for b in range(3) for c in range(3)]
+    values = [(bc, g * g, det(g)) for bc, g in family]  # bc, g^2, det g
+    one = ExactMatrix.identity(2)
+    g = ExactMatrix(2, 2, [0, 1, -1, 0])
     rec = ObstructionRecord("sp1-involution-obstruction")
-    rec.checks.append(("det g = -bc as a polynomial identity", det_g == -bc))
-    rec.checks.append(
-        (
-            "g^2 = bc * I as a polynomial identity",
-            g2[0][0] == bc and g2[1][1] == bc
-            and g2[0][1].is_zero() and g2[1][0].is_zero(),
-        )
-    )
-    combined = [
-        [g2[0][0] + det_g, g2[0][1]],
-        [g2[1][0], g2[1][1] + det_g],
-    ]
-    rec.checks.append(
-        (
-            "g^2 + det(g) I = 0 on the whole family",
-            all(entry.is_zero() for row in combined for entry in row),
-        )
-    )
-    one = GaussRat.from_int(1)
-    two = GaussRat.from_int(2)
-    rec.checks.append(
-        (
-            "at (b,c) = (1,-1): det 1 and g^2 = -I",
-            det_g.evaluate(one, -one) == 1
-            and g2[0][0].evaluate(one, -one) == -1,
-        )
-    )
-    rec.checks.append(
-        ("at (b,c) = (2,1): det -2, outside the group", det_g.evaluate(two, one) == -2)
-    )
+    rec.checks.append((
+        "det g = -bc as a polynomial identity",
+        all(d == -bc for bc, _, d in values),
+    ))
+    rec.checks.append((
+        "g^2 = bc * I as a polynomial identity",
+        all(g2 == one.scale(bc) for bc, g2, _ in values),
+    ))
+    rec.checks.append((
+        "g^2 + det(g) I = 0 on the whole family",
+        all(g2.plus_scalar(d).is_zero() for _, g2, d in values),
+    ))
+    rec.checks.append((
+        "at (b,c) = (1,-1): det 1 and g^2 = -I", det(g) == 1 and g * g == -one
+    ))
+    rec.checks.append((
+        "at (b,c) = (2,1): det -2, outside the group",
+        det(ExactMatrix(2, 2, [0, 2, 1, 0])) == -2,
+    ))
     return rec

@@ -13,7 +13,10 @@ split over Q(i)) and transports the canonical witness back.  Its
 eigenvalues are the roots of chi's squarefree part, and when chi splits
 its eigenspaces also settle diagonalizability (their dimensions add up to
 n), so ``is_semisimple``'s Horner test on X's own columns runs only in
-``decide`` and when chi does not split.
+``decide`` and when chi does not split.  Every canonical reverser but the
+orthogonal diagonal is a monomial map, each basis vector going to a unit
+multiple of another, and is built from its images by
+``ExactMatrix.monomial``.
 
 Verdict reason vocabulary: ZeroElement, SpectrumAsymmetric,
 SpectrumSymmetric, ZeroEigenvalue, NMod4, OrthogonalAlwaysStrong,
@@ -23,6 +26,7 @@ ProjectiveAlwaysStrong.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .certificates import ReverserCertificate, verify_certificate
@@ -213,44 +217,27 @@ def _pair_indices(values):
     return pairs, zeros
 
 
-def _swap_involution(n: int, pairs, zeros, flip_zero: bool) -> ExactMatrix:
-    """Per-pair swap blocks [[0,1],[1,0]], identity on zeros, with an
-    optional -1 on the last zero coordinate to fix the determinant."""
-    g = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        g[k][k] = ONE
+def _pair_images(n: int, pairs, sign: int):
+    """Images (i_k, s_k), for ``ExactMatrix.monomial``, of the map that
+    sends e_p to e_q and e_q to sign * e_p for each pair (p, q) and fixes
+    every other basis vector: per pair the swap [[0, 1], [1, 0]] for
+    sign 1, the rotation [[0, -1], [1, 0]] (determinant one, square -I)
+    for sign -1."""
+    images = [(k, 1) for k in range(n)]
     for p, q in pairs:
-        g[p][p] = ZERO
-        g[q][q] = ZERO
-        g[p][q] = ONE
-        g[q][p] = ONE
-    if flip_zero:
-        z = zeros[-1]
-        g[z][z] = -ONE
-    return ExactMatrix.from_rows(g)
-
-
-def _rotation_reverser(n: int, pairs) -> ExactMatrix:
-    """Per-pair blocks [[0,-1],[1,0]] (determinant one, square -I on the
-    paired part), identity elsewhere."""
-    g = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        g[k][k] = ONE
-    for p, q in pairs:
-        g[p][p] = ZERO
-        g[q][q] = ZERO
-        g[p][q] = -ONE
-        g[q][p] = ONE
-    return ExactMatrix.from_rows(g)
+        images[p], images[q] = (q, 1), (p, sign)
+    return images
 
 
 def _witness_linear(values, ctx: LieContext, want_involution: bool) -> ExactMatrix:
     pairs, zeros = _pair_indices(values)
-    n = len(values)
     if not want_involution:
-        return _rotation_reverser(n, pairs)
-    flip = ctx.group == "SL" and len(pairs) % 2 == 1
-    return _swap_involution(n, pairs, zeros, flip)
+        return ExactMatrix.monomial(_pair_images(len(values), pairs, -1))
+    images = _pair_images(len(values), pairs, 1)
+    if ctx.group == "SL" and len(pairs) % 2 == 1:
+        # a -1 on the last zero coordinate fixes the determinant
+        images[zeros[-1]] = (zeros[-1], -1)
+    return ExactMatrix.monomial(images)
 
 
 def _witness_projective_linear(values, ctx: LieContext) -> ExactMatrix:
@@ -260,17 +247,15 @@ def _witness_projective_linear(values, ctx: LieContext) -> ExactMatrix:
     if len(zeros) % 2 == 0:
         # rotation blocks on the value pairs and on zero coordinates
         # paired among themselves: determinant 1, square -I
-        zero_pairs = [
-            (zeros[2 * t], zeros[2 * t + 1]) for t in range(len(zeros) // 2)
-        ]
-        return _rotation_reverser(n, pairs + zero_pairs)
-    mat = _rotation_reverser(n, pairs)
+        zero_pairs = list(zip(zeros[0::2], zeros[1::2]))
+        return ExactMatrix.monomial(_pair_images(n, pairs + zero_pairs, -1))
+    images = _pair_images(n, pairs, -1)
     for z in zeros:
-        mat = mat.with_entry(z, z, I)
+        images[z] = (z, I)
     # odd zero count forces odd n, so a power of i can absorb det = i^s
     s = len(zeros) % 4
-    k = ((-s) * pow(n, -1, 4)) % 4
-    mat = mat.scale(I ** k)
+    unit = I ** (((-s) * pow(n, -1, 4)) % 4)
+    mat = ExactMatrix.monomial([(i, unit * sk) for i, sk in images])
     if det(mat) != 1:
         raise SelfCheckFailed("projective reverser does not have determinant 1")
     return mat
@@ -298,17 +283,6 @@ def _witness_orthogonal(c: CanonicalSemisimple, ctx: LieContext) -> ExactMatrix:
     return ExactMatrix.diagonal(diag)
 
 
-def _antidiag_rotation_blocks(m: int) -> ExactMatrix:
-    """m x m antisymmetric B with [[0,-1],[1,0]] blocks on the
-    antidiagonal; needs m even."""
-    b = [[ZERO] * m for _ in range(m)]
-    for t in range(m // 2):
-        col = m - 2 * t - 2
-        b[2 * t][col + 1] = -ONE
-        b[2 * t + 1][col] = ONE
-    return ExactMatrix.from_rows(b)
-
-
 def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
     """Involution in Sp(n) reversing diag(h, -h) when every nonzero
     eigenvalue has even multiplicity: block swaps on the coordinates sorted
@@ -317,7 +291,6 @@ def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
     n = ctx.n
     hvals = [_pair_rep(v) if not v.is_zero() else v for v in values]
     order = sorted(range(n), key=lambda j: (hvals[j].lex_key(), j))
-    sorted_vals = [hvals[j] for j in order]
     # slot a (and n + a) holds coordinate j = order[a], rotated by
     # (e_j, e_{n+j}) -> (-e_{n+j}, e_j) when h_j is not its pair representative
     images = [None] * (2 * n)
@@ -326,32 +299,23 @@ def _witness_symplectic_involution(values, ctx: LieContext) -> ExactMatrix:
             images[a], images[n + a] = (j, 1), (n + j, 1)
         else:
             images[a], images[n + a] = (n + j, -1), (j, 1)
-    # group equal consecutive values into eigenvalue classes
-    g = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    # block involution on sorted slots: the identity on the zero class; a
+    # nonzero class on slots a..b-1 sends slot s to the second-half copy of
+    # its mirror a + b - 1 - s and back, with signs alternating
+    blocks = [(k, 1) for k in range(2 * n)]
     a = 0
-    while a < n:
-        b = a
-        while b < n and sorted_vals[b] == sorted_vals[a]:
-            b += 1
-        idxs = list(range(a, b))
-        if sorted_vals[a].is_zero():
-            for j in idxs:
-                g[j][j] = ONE
-                g[n + j][n + j] = ONE
-        else:
-            m = len(idxs)
-            if m % 2:
+    for value, members in itertools.groupby(hvals[j] for j in order):
+        b = a + len(list(members))
+        if not value.is_zero():
+            if (b - a) % 2:
                 raise SelfCheckFailed(
                     "odd multiplicity has no symplectic involution"
                 )
-            bmat = _antidiag_rotation_blocks(m)
-            cmat = bmat.transpose()
-            for p in range(m):
-                for q in range(m):
-                    g[idxs[p]][n + idxs[q]] = bmat[p, q]
-                    g[n + idxs[p]][idxs[q]] = cmat[p, q]
+            for s in range(a, b):
+                sign, mirror = (1 if (s - a) % 2 else -1), a + b - 1 - s
+                blocks[s], blocks[n + s] = (n + mirror, sign), (mirror, -sign)
         a = b
-    return _signed_conjugate(ExactMatrix.from_rows(g), images)
+    return _signed_conjugate(ExactMatrix.monomial(blocks), images)
 
 
 def _canonical_reverser(

@@ -125,6 +125,12 @@ def _build_cases():
         "sp2": (ctx("sp", "Sp", 2), conj_symplectic(sp_diag([gr(1), gr(2)]), 3)),
         "psp3": (ctx("sp", "PSp", 3),
                  conj_symplectic(sp_diag([gr(1), gr(1), gr(0, 2)]), 4)),
+        # an Sp involution granted by even multiplicities, and PSL with an
+        # odd number of zero eigenvalues (the reverser takes a power of i)
+        "sp3": (ctx("sp", "Sp", 3), conj_symplectic(sp_diag([gr(1), gr(1), ZERO]), 4)),
+        "psl3": (ctx("sl", "PSL", 3), conj_unimodular(ExactMatrix.diagonal([1, -1, 0]), 3)),
+        "psl5": (ctx("sl", "PSL", 5),
+                 conj_unimodular(ExactMatrix.diagonal([1, -1, 2, -2, 0]), 4)),
     }
     cases = {}
     for name, (c, x) in semisimple.items():

@@ -354,6 +354,24 @@ def test_signed_conjugate_matches_dense_conjugation(case):
     assert _signed_conjugate(m, images) == t * m * inverse(t)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.sampled_from((1, -1, I, -I)), min_size=n, max_size=n),
+)))
+def test_monomial_matches_dense_build(case):
+    perm, units = case
+    images = list(zip(perm, units))
+    n = len(images)
+    rows = [[ZERO] * n for _ in range(n)]
+    for k, (i, s) in enumerate(images):
+        rows[i][k] = s if isinstance(s, GaussRat) else gr(s)
+    g = ExactMatrix.monomial(images)
+    assert g == ExactMatrix.from_rows(rows)
+    for k, (i, s) in enumerate(images):  # g e_k = s_k e_{i_k}
+        assert g.column(k) == [s if r == i else ZERO for r in range(n)]
+
+
 def test_signed_conjugate_identity_signs_and_permutation():
     m = ExactMatrix.from_rows([[1, I, gr("1/2")], [0, gr(1, -1), 2], [-1, 0, I]])
     assert _signed_conjugate(m, [(0, 1), (1, 1), (2, 1)]) == m

@@ -1,4 +1,5 @@
-"""Cross-checks: cyclic canonical forms, bounded search, symbolic proofs."""
+"""Cross-checks: cyclic canonical forms, bounded search, obstruction
+identities checked on exact matrices over a grid."""
 
 import time
 
@@ -21,13 +22,11 @@ from adjreal.matrix import (
 )
 from adjreal import matrix
 from adjreal.oracle import (
-    BiPoly,
     _StructuredInapplicable,
     _cleared_columns,
     _coprime_split,
     _poly_on_vector,
     _structured_involutions,
-    _sym_mul_2x2,
     enumerate_involutive_reversers,
     height_pool,
     height_pool_size,
@@ -274,19 +273,38 @@ def test_sp1_obstruction_record():
     assert any("g^2 + det(g) I" in n for n in names)
 
 
+def test_sp1_obstruction_json_is_pinned():
+    assert sp1_involution_obstruction().to_json() == {
+        "name": "sp1-involution-obstruction",
+        "passed": True,
+        "checks": [
+            {"check": "det g = -bc as a polynomial identity", "ok": True},
+            {"check": "g^2 = bc * I as a polynomial identity", "ok": True},
+            {"check": "g^2 + det(g) I = 0 on the whole family", "ok": True},
+            {"check": "at (b,c) = (1,-1): det 1 and g^2 = -I", "ok": True},
+            {"check": "at (b,c) = (2,1): det -2, outside the group", "ok": True},
+        ],
+    }
+
+
 def test_so2_obstruction_record():
-    """The rank-two rotation dichotomy, symbolically: on the family
+    """The rank-two rotation dichotomy: on the family
     g = a diag(1,-1) + b (E12 + E21) (the anticommutant of the canonical
     rotation block), g^t g = (a^2 + b^2) I and det g = -(a^2 + b^2); an
     orthogonal member therefore always has determinant -1, so none lies
-    in the special orthogonal group."""
-    a, b = BiPoly.b(), BiPoly.c()
-    g = [[a, b], [b, -a]]
-    gt_g = _sym_mul_2x2([[g[0][0], g[1][0]], [g[0][1], g[1][1]]], g)
-    norm = a * a + b * b
-    assert gt_g[0][0] == norm and gt_g[1][1] == norm
-    assert gt_g[0][1].is_zero() and gt_g[1][0].is_zero()
-    assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == -norm
+    in the special orthogonal group.
+
+    Both identities are checked on exact matrices at the nine points
+    (a, b) of {0, 1, 2}^2.  Every entry of g^t g, det g and a^2 + b^2 has
+    degree at most 2 in a and in b, and a polynomial of degree at most 2
+    in each variable that vanishes on a 3 x 3 grid is zero, so the grid
+    proves them on the whole family."""
+    for a in range(3):
+        for b in range(3):
+            g = ExactMatrix(2, 2, [a, b, b, -a])
+            norm = a * a + b * b
+            assert g.transpose() * g == ExactMatrix.identity(2).scale(norm)
+            assert det(g) == -norm
 
 
 def test_search_certificates_always_verify(rng):

@@ -22,7 +22,7 @@ from adjreal.errors import (
     SelfCheckFailed,
     SpectrumNotSplit,
 )
-from adjreal.gaussian import ONE, ZERO, gr
+from adjreal.gaussian import I, ONE, ZERO, gr
 from adjreal.liecore import (
     CanonicalSemisimple,
     LieContext,
@@ -803,12 +803,127 @@ def test_self_checks_survive_python_optimize():
     ]
 
 
+# -- dense references for the monomial reverser builders ----------------------------
+
+
+def _dense_rotation_reverser(n, pairs):
+    """Per-pair blocks [[0,-1],[1,0]], identity elsewhere, entry by entry."""
+    g = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        g[k][k] = ONE
+    for p, q in pairs:
+        g[p][p] = ZERO
+        g[q][q] = ZERO
+        g[p][q] = -ONE
+        g[q][p] = ONE
+    return ExactMatrix.from_rows(g)
+
+
+def _dense_swap_involution(n, pairs, zeros, flip_zero):
+    """Per-pair swap blocks [[0,1],[1,0]], identity on zeros, with an
+    optional -1 on the last zero coordinate, entry by entry."""
+    g = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        g[k][k] = ONE
+    for p, q in pairs:
+        g[p][p] = ZERO
+        g[q][q] = ZERO
+        g[p][q] = ONE
+        g[q][p] = ONE
+    if flip_zero:
+        z = zeros[-1]
+        g[z][z] = -ONE
+    return ExactMatrix.from_rows(g)
+
+
+def _dense_antidiag_rotation_blocks(m):
+    """m x m antisymmetric B with [[0,-1],[1,0]] blocks on the
+    antidiagonal; needs m even."""
+    b = [[ZERO] * m for _ in range(m)]
+    for t in range(m // 2):
+        col = m - 2 * t - 2
+        b[2 * t][col + 1] = -ONE
+        b[2 * t + 1][col] = ONE
+    return ExactMatrix.from_rows(b)
+
+
+def _dense_jn_matrix(n):
+    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    for k in range(n):
+        rows[k][n + k] = -ONE
+        rows[n + k][k] = ONE
+    return ExactMatrix.from_rows(rows)
+
+
+def _reference_witness_linear(values, ctx, want_involution):
+    pairs, zeros = semisimple._pair_indices(values)
+    n = len(values)
+    if not want_involution:
+        return _dense_rotation_reverser(n, pairs)
+    flip = ctx.group == "SL" and len(pairs) % 2 == 1
+    return _dense_swap_involution(n, pairs, zeros, flip)
+
+
+def _reference_witness_projective_linear(values):
+    """Rotation blocks, i on the zero diagonal when the zeros are odd in
+    number, and every entry scaled by the power of i that makes det 1."""
+    pairs, zeros = semisimple._pair_indices(values)
+    n = len(values)
+    if len(zeros) % 2 == 0:
+        zero_pairs = [(zeros[2 * t], zeros[2 * t + 1]) for t in range(len(zeros) // 2)]
+        return _dense_rotation_reverser(n, pairs + zero_pairs)
+    mat = _dense_rotation_reverser(n, pairs)
+    for z in zeros:
+        mat = mat.with_entry(z, z, I)
+    return mat.scale(I ** (((-(len(zeros) % 4)) * pow(n, -1, 4)) % 4))
+
+
+@st.composite
+def _symmetric_spectra(draw, zeros):
+    """A spectrum symmetric under negation with ``zeros`` zero values."""
+    pool = [gr(1), gr(2), gr(0, 1), gr(1, -1), gr("1/2")]
+    values = [ZERO] * zeros
+    for v in draw(st.lists(st.sampled_from(pool), max_size=4)):
+        values += [v, -v]
+    if len(values) < 2:
+        values += [gr(3), gr(-3)]
+    return draw(st.permutations(values))
+
+
+@pytest.mark.parametrize("zeros", range(4))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_monomial_reversers_match_dense_builders(zeros, data):
+    """The linear witnesses at both levels (with the SL determinant flip)
+    and the PSL witness (rotations for an even zero count, the i-twist for
+    an odd one) equal the dense builders they replace."""
+    values = data.draw(_symmetric_spectra(zeros))
+    n = len(values)
+    pairs = len(semisimple._pair_indices(values)[0])
+    for algebra, group in (("gl", "GL"), ("sl", "SL")):
+        ctx = LieContext(algebra, group, n)
+        for want_involution in (False, True):
+            if want_involution and group == "SL" and pairs % 2 and not zeros:
+                continue  # NMod4 denies strong reality there
+            assert semisimple._witness_linear(values, ctx, want_involution) == (
+                _reference_witness_linear(values, ctx, want_involution)
+            )
+    g = semisimple._witness_projective_linear(values, LieContext("sl", "PSL", n))
+    assert g == _reference_witness_projective_linear(values)
+    assert det(g) == 1
+
+
+def test_jn_matrix_matches_dense_builder():
+    for n in range(1, 9):
+        assert jn_matrix(n) == _dense_jn_matrix(n)
+
+
 def _reference_symplectic_involution(values, ctx):
     """The Sp involution as first written: the block involution g on sorted
     coordinates, conjugated densely by S = S2 S1, S^-1 g S."""
     n = ctx.n
     flips = [j for j, v in enumerate(values) if not v.is_zero() and v != semisimple._pair_rep(v)]
-    s1 = semisimple._rotation_reverser(2 * n, [(j, n + j) for j in flips])
+    s1 = _dense_rotation_reverser(2 * n, [(j, n + j) for j in flips])
     hvals = [semisimple._pair_rep(v) if not v.is_zero() else v for v in values]
     order = sorted(range(n), key=lambda j: (hvals[j].lex_key(), j))
     rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
@@ -827,7 +942,7 @@ def _reference_symplectic_involution(values, ctx):
             for j in range(a, b):
                 g[j][j] = g[n + j][n + j] = ONE
         else:
-            bmat = semisimple._antidiag_rotation_blocks(b - a)
+            bmat = _dense_antidiag_rotation_blocks(b - a)
             cmat = minv(bmat)
             for p in range(b - a):
                 for q in range(b - a):

@@ -3,8 +3,11 @@
 A certificate packages an algebra element X, a claimed reverser g, the
 acting context, and an involution claim.  Verification re-derives every
 assertion exactly: group membership, invertibility, g X g^{-1} = -X, and
-the involution claim (g^2 = I, or g^2 a scalar matrix for PSL/PSp).  Any
-failure is reported by naming the violated equation.
+the involution claim (g^2 = I, or g^2 a scalar matrix for PSL/PSp).  The
+anticonjugation is checked multiplicatively, as g X = -(X g): both
+products come as canonical rows over Z[i] and are compared row by row,
+with no sum formed.  Any failure is reported by naming the violated
+equation.
 """
 
 from __future__ import annotations
@@ -73,8 +76,7 @@ def verify_certificate(cert: ReverserCertificate) -> VerificationReport:
     if gf is not None:
         failures.append(gf)
     else:
-        # g X g^-1 = -X, checked multiplicatively as g X + X g = 0
-        if not (g * x + x * g).is_zero():
+        if g * x != -(x * g):  # g X g^-1 = -X, see the module docstring
             failures.append("Anticonjugation(g X g^-1 != -X)")
         if cert.claims_involution:
             g2 = g * g

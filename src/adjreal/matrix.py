@@ -3,8 +3,9 @@
 Everything here is deterministic.  Solutions, kernel bases, ranks,
 inverses and determinants are read off the reduced row echelon form,
 which is unique.  One engine computes it, and builds the Krylov
-echelons v, Av, A^2 v, ... of ``oracle`` and ``symplectic`` a row at a
-time: sparse fraction-free Gauss-Jordan elimination over the Gaussian
+echelons v, Av, A^2 v, ... of ``oracle`` and ``symplectic``, and of the
+Hessenberg form behind the characteristic polynomial, a row at a time:
+sparse fraction-free Gauss-Jordan elimination over the Gaussian
 integers.  Each row is cleared of its denominators once (for
 ``inverse``, each column), every pivot equals one common denominator,
 each update divides exactly in Z[i] by the previous one, and each entry
@@ -782,52 +783,69 @@ def _signed_conjugate(m: ExactMatrix, images) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def hessenberg(x: ExactMatrix) -> ExactMatrix:
-    """Upper Hessenberg H similar to X, by elementary similarities.
+def _unit_krylov_walk(cleared, tagged: bool = False):
+    """The blocks of a basis of C^n for A = M / d, cleared = (d, columns
+    of M): for each unit vector e_s outside the A-invariant span of the
+    earlier blocks, in increasing s, the block e_s, A e_s, ... up to the
+    first dependence, added to one fraction-free echelon.
 
-    Column by column, the first nonzero entry at or below the subdiagonal
-    is swapped onto the subdiagonal (rows and columns together) and
-    clears the entries under it.  An X that is already upper Hessenberg
-    comes back unchanged, without arithmetic.
+    Yields (s, start, end, row) once a block is added: it holds basis
+    vectors start .. end - 1, and row is the reduced row of A^(end-start)
+    e_s.  With ``tagged``, basis vector m = A^j e_s enters as the row of
+    M^j e_s with its scale d^j in column n + m, so the dependent row's
+    columns n .. n + end hold the coefficients of a relation among basis
+    vectors 0 .. end, as in ``_krylov_echelon``."""
+    d, columns = cleared
+    n, span, m = len(columns), _Echelon(), 0
+    for s in range(n):
+        w, scale, start = {s: (1, 0)}, 1, m
+        while True:
+            row = span.reduce({**w, n + m: (scale, 0)} if tagged else w)
+            if not row or min(row) >= n:
+                break
+            span.add(row)
+            m += 1
+            w = _apply(columns, w)
+            scale *= d
+        if m > start:
+            yield s, start, m, row
+
+
+def hessenberg(x: ExactMatrix) -> ExactMatrix:
+    """Upper Hessenberg H = P^-1 X P with subdiagonal entries 0 or 1, read
+    off one Krylov echelon of X over Gaussian integers (no pivot inverse).
+
+    The columns of P are the blocks of ``_unit_krylov_walk``, so H has a 1
+    on the subdiagonal inside a block and a 0 where a block starts.  At a
+    block's first dependence, X times its last vector is a combination of
+    all the vectors so far; the row's tags give those coefficients, and
+    they fill the block's last column of H.
     """
     if not x.is_square():
         raise SizeMismatch("Hessenberg form of a non-square matrix")
     n = x.rows
-    h = x.to_lists()
-    for k in range(n - 2):
-        p = next((i for i in range(k + 1, n) if not h[i][k].is_zero()), None)
-        if p is None:
-            continue
-        if p != k + 1:
-            h[p], h[k + 1] = h[k + 1], h[p]
-            for row in h:
-                row[p], row[k + 1] = row[k + 1], row[p]
-        pivot_row = h[k + 1]
-        inv = None
-        for i in range(k + 2, n):
-            row = h[i]
-            if row[k].is_zero():
-                continue
-            if inv is None:
-                inv = pivot_row[k].inverse()
-            u = row[k] * inv
-            # row i -= u * row k+1, then column k+1 += u * column i
-            row[k] = ZERO
-            for j in range(k + 1, n):
-                if not pivot_row[j].is_zero():
-                    row[j] = row[j] - u * pivot_row[j]
-            for other in h:
-                if not other[i].is_zero():
-                    other[k + 1] = other[k + 1] + u * other[i]
-    return ExactMatrix.from_rows(h)
+    h = [ZERO] * (n * n)
+    for _, start, end, row in _unit_krylov_walk(_cleared_columns(x), tagged=True):
+        for k in range(start + 1, end):
+            h[k * n + k - 1] = ONE
+        # row[n + end] X v_(end-1) + sum_(i < end) row[n + i] v_i = 0
+        lead = row[n + end]
+        for i in range(end):
+            if n + i in row:
+                zr, zi = row[n + i]
+                h[i * n + end - 1] = _gauss_quotient((-zr, -zi), lead)
+    return ExactMatrix(n, n, h)
 
 
 def char_poly(x: ExactMatrix) -> ExactPoly:
-    """Characteristic polynomial det(tI - X), exact, in O(n^3).
+    """Characteristic polynomial det(tI - X), exact.
 
     With H the Hessenberg form of X and p_k the characteristic polynomial
     of its leading k x k block, p_0 = 1 and
     p_{k+1} = (t - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
+    ``hessenberg`` puts only 0 and 1 on the subdiagonal, and nonzero h_ik
+    (i < k) only in the last column of each block, so the sum runs over
+    that block's nonzero terms, and a subdiagonal 1 is not multiplied in.
     """
     h = hessenberg(x)
     n = h.rows
@@ -839,18 +857,19 @@ def char_poly(x: ExactMatrix) -> ExactPoly:
         if not hkk.is_zero():
             for j, c in enumerate(pk):
                 nxt[j] = nxt[j] - hkk * c
-        # weights w_i for i = k-1, k-2, ...; they vanish past a zero
-        # subdiagonal entry
-        weights, sub = [], ONE
+        # the nonzero terms for i = k-1, k-2, ...; the weights vanish past
+        # a zero subdiagonal entry
+        weights, stacked, sub = [], [], ONE
         for i in range(k - 1, -1, -1):
-            sub = sub * h[i + 1, i]
-            if sub.is_zero():
+            below = h[i + 1, i]
+            if below.is_zero():
                 break
-            weights.append(h[i, k] * sub)
-        if weights:
-            stacked = []
-            for i in range(k - 1, k - 1 - len(weights), -1):
+            if below != ONE:
+                sub = sub * below
+            if not h[i, k].is_zero():
+                weights.append(h[i, k] * sub)
                 stacked.extend(polys[i] + [ZERO] * (k - 1 - i))
+        if weights:
             total = ExactMatrix(1, len(weights), weights) * ExactMatrix(
                 len(weights), k, stacked
             )
@@ -997,25 +1016,18 @@ def is_semisimple(x: ExactMatrix, chi: ExactPoly | None = None) -> bool:
     q(X) e_s = 0 is tested by Horner on X's own Gaussian-integer columns,
     only for the unit vectors e_s outside the X-invariant span of the
     earlier ones; that span grows in one echelon by e_s, X e_s, ... up to
-    the first dependence.  The e_s tested generate C^n as a C[X]-module
-    and q(X) commutes with X, so the test is exact.
+    the first dependence (``_unit_krylov_walk``, untagged).  The e_s
+    tested generate C^n as a C[X]-module and q(X) commutes with X, so the
+    test is exact.
     """
     if not x.is_square():
         raise SizeMismatch("diagonalizability of a non-square matrix")
     q = squarefree_part(char_poly(x) if chi is None else chi)
-    n, cleared, span = x.rows, _cleared_columns(x), _Echelon()
-    for s in range(n):
-        row = span.reduce({s: (1, 0)})
-        if not row:
-            continue
+    n, cleared = x.rows, _cleared_columns(x)
+    for s, _, _, _ in _unit_krylov_walk(cleared):
         unit = [ONE if i == s else ZERO for i in range(n)]
         if any(not e.is_zero() for e in _poly_on_vector(q, cleared, unit)):
             return False
-        w = {s: (1, 0)}
-        while row:
-            span.add(row)
-            w = _apply(cleared[1], w)
-            row = span.reduce(w)
     return True
 
 

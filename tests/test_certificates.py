@@ -100,3 +100,26 @@ def test_certificate_json_round_trip():
     again = ReverserCertificate.from_json(cert.to_json())
     assert again == cert
     assert verify_certificate(again).ok
+
+
+def test_anticonjugation_is_compared_without_matrix_sums(monkeypatch):
+    """g X = -(X g) is compared on the two products' rows, with no matrix
+    sum, and a g that breaks only that equation is still named."""
+    calls = []
+    original = ExactMatrix.__add__
+
+    def spy(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__add__", spy)
+    x = ExactMatrix.from_rows([[gr("1/2", 1), gr(3)], [gr(0, "-2/3"), gr("-1/2", -1)]])
+    transvection = ExactMatrix.from_rows([[gr(1), gr("1/2", 1)], [gr(0), gr(1)]])
+    sl2 = LieContext("sl", "SL", 2)
+    report = verify_certificate(ReverserCertificate(x, transvection, sl2, False))
+    assert report.failures == ["Anticonjugation(g X g^-1 != -X)"]
+    good = ReverserCertificate(
+        ExactMatrix.diagonal([gr(2), gr(-2)]), jn_matrix(1), LieContext("sp", "PSp", 1), True
+    )
+    assert verify_certificate(good).ok
+    assert calls == []

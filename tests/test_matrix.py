@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from adjreal.errors import InconsistentSystem, SingularMatrix, SizeMismatch
 from adjreal.gaussian import I, ONE, ZERO, GaussRat, gr, rational
@@ -28,7 +28,7 @@ from adjreal.matrix import (
 from adjreal.oracle import rcf_similar
 from adjreal.polynomial import ExactPoly, poly_gcd
 
-from conftest import SMALL_SCALARS
+from conftest import SMALL_SCALARS, conjugated_jordan_matrices
 
 
 def test_solve_identity():
@@ -718,25 +718,143 @@ def test_product_chain_clears_each_factor_once(monkeypatch):
     )
 
 
-def test_hessenberg_input_needs_no_inverse(monkeypatch):
-    """Upper Hessenberg input comes back unchanged, without a single
-    scalar inverse."""
+_RESCALE = [gr(1), gr(2), gr("1/3"), gr("5/7"), gr(1, 1), gr("1/2", "-3/4")]
+
+
+@st.composite
+def _square_matrices(draw):
+    """Derogatory conjugated Jordan forms (scalar, zero, 1 x 1 and 0 x 0
+    among them) or dense matrices, with real, imaginary and mixed entries,
+    then conjugated by a diagonal D (X -> D X D^-1) so that the rows carry
+    distinct denominators."""
+    if draw(st.booleans()):
+        x = draw(conjugated_jordan_matrices(max_size=6))
+    else:
+        n = draw(st.integers(0, 6))
+        x = ExactMatrix(n, n, draw(st.lists(
+            st.sampled_from(SMALL_SCALARS), min_size=n * n, max_size=n * n
+        )))
+    n = x.rows
+    d = [draw(st.sampled_from(_RESCALE)) for _ in range(n)]
+    return ExactMatrix(n, n, [x[i, j] * d[i] / d[j] for i in range(n) for j in range(n)])
+
+
+_EDGE_MATRICES = [
+    ExactMatrix.zeros(0),
+    ExactMatrix.zeros(1),
+    ExactMatrix.from_rows([[gr("5/3", -2)]]),
+    ExactMatrix.zeros(3),
+    ExactMatrix.diagonal([gr("1/2", 1)] * 4),
+]
+
+
+def _with_edge_examples(test):
+    for x in _EDGE_MATRICES:
+        test = example(x)(test)
+    return test
+
+
+_COUNTED_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "inverse")
+
+
+@settings(max_examples=120, deadline=None)
+@_with_edge_examples
+@given(_square_matrices())
+def test_hessenberg_input_needs_no_inverse(x):
+    """hessenberg makes no scalar inverse and no other GaussRat
+    arithmetic, and returns an upper Hessenberg matrix whose subdiagonal
+    holds only 0 and 1."""
     calls = []
-    original = GaussRat.inverse
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _COUNTED_OPS:
+            original = getattr(GaussRat, name)
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-    monkeypatch.setattr(GaussRat, "inverse", counting)
-    h = ExactMatrix.from_rows([
-        [gr(1), gr(2), I, gr("1/3")],
-        [gr(3), ZERO, gr(5), gr(-1)],
-        [ZERO, gr(0, 2), gr(1), gr(4)],
-        [ZERO, ZERO, gr("7/2"), gr(2)],
-    ])
-    assert hessenberg(h) == h
+            mp.setattr(GaussRat, name, counting)
+        h = hessenberg(x)
     assert calls == []
+    n = x.rows
+    assert (h.rows, h.cols) == (n, n)
+    assert all(h[i, j].is_zero() for i in range(n) for j in range(i - 1))
+    assert all(h[i + 1, i] in (ZERO, ONE) for i in range(n - 1))
+
+
+def _krylov_basis(x):
+    """The columns e_s, X e_s, ... up to the first dependence, for each
+    unit vector e_s not yet in their span, found by rank tests."""
+    n, span = x.rows, []
+    for s in range(n):
+        v = [ONE if i == s else ZERO for i in range(n)]
+        while rank(ExactMatrix.from_rows(span + [v])) > len(span):
+            span.append(v)
+            v = x.mul_vector(v)
+    return ExactMatrix.from_columns(span) if span else ExactMatrix.zeros(0)
+
+
+@settings(max_examples=120, deadline=None)
+@_with_edge_examples
+@given(_square_matrices())
+def test_hessenberg_is_similar_through_the_krylov_basis(x):
+    """X P = P H with det P != 0: H = P^-1 X P."""
+    p = _krylov_basis(x)
+    assert not det(p).is_zero()
+    assert x * p == p * hessenberg(x)
+
+
+def _elimination_char_poly(x):
+    """det(tI - X) by elementary similarities to upper Hessenberg form
+    over Q(i), then the recurrence over its leading blocks."""
+    n, h = x.rows, x.to_lists()
+    for k in range(n - 2):
+        p = next((i for i in range(k + 1, n) if not h[i][k].is_zero()), None)
+        if p is None:
+            continue
+        h[p], h[k + 1] = h[k + 1], h[p]
+        for row in h:
+            row[p], row[k + 1] = row[k + 1], row[p]
+        inv = h[k + 1][k].inverse()
+        for i in range(k + 2, n):
+            u = h[i][k] * inv
+            for j in range(n):
+                h[i][j] = h[i][j] - u * h[k + 1][j]
+            for row in h:
+                row[k + 1] = row[k + 1] + u * row[i]
+    polys = [[ONE]]
+    for k in range(n):
+        nxt = [ZERO] + polys[k]
+        for j, c in enumerate(polys[k]):
+            nxt[j] = nxt[j] - h[k][k] * c
+        sub = ONE
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1][i]
+            for j, c in enumerate(polys[i]):
+                nxt[j] = nxt[j] - h[i][k] * sub * c
+        polys.append(nxt)
+    return ExactPoly(polys[n])
+
+
+@settings(max_examples=120, deadline=None)
+@_with_edge_examples
+@given(_square_matrices())
+def test_char_poly_matches_elimination(x):
+    assert char_poly(x) == _elimination_char_poly(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_hessenberg_and_char_poly_refuse_non_square(rows, cols, data):
+    assume(rows != cols)
+    x = ExactMatrix(rows, cols, data.draw(st.lists(
+        st.sampled_from(SMALL_SCALARS), min_size=rows * cols, max_size=rows * cols
+    )))
+    with pytest.raises(SizeMismatch):
+        hessenberg(x)
+    with pytest.raises(SizeMismatch):
+        char_poly(x)
 
 
 def test_kernel_shape_errors():

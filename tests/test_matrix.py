@@ -792,7 +792,7 @@ def _krylov_basis(x):
         while rank(ExactMatrix.from_rows(span + [v])) > len(span):
             span.append(v)
             v = x.mul_vector(v)
-    return ExactMatrix.from_columns(span) if span else ExactMatrix.zeros(0)
+    return ExactMatrix.from_columns(span)
 
 
 @settings(max_examples=120, deadline=None)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 
 from .certificates import is_nonzero_scalar, verify_certificate
-from .errors import NotRealizable
+from .errors import NotRealizable, _Record
 from .gaussian import GaussRat, ONE, ZERO
 from .liecore import (
     CanonicalSemisimple,
@@ -57,12 +56,11 @@ from .symplectic import (
 )
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(_Record):
+    __slots__ = ("number", "name", "passed", "detail")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str):
+        _Record.__init__(self, number, name, passed, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

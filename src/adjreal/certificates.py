@@ -12,19 +12,22 @@ equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import ParseError
+from .errors import ParseError, _FrozenRecord, _Record
 from .liecore import LieContext, algebra_member, group_failure
 from .matrix import ExactMatrix
 
 
-@dataclass(frozen=True)
-class ReverserCertificate:
-    element: ExactMatrix
-    reverser: ExactMatrix
-    context: LieContext
-    claims_involution: bool = False
+class ReverserCertificate(_FrozenRecord):
+    __slots__ = ("element", "reverser", "context", "claims_involution")
+
+    def __init__(
+        self,
+        element: ExactMatrix,
+        reverser: ExactMatrix,
+        context: LieContext,
+        claims_involution: bool = False,
+    ):
+        _FrozenRecord.__init__(self, element, reverser, context, claims_involution)
 
     def to_json(self):
         return {
@@ -53,10 +56,11 @@ class ReverserCertificate:
         return cert
 
 
-@dataclass
-class VerificationReport:
-    ok: bool
-    failures: list = field(default_factory=list)
+class VerificationReport(_Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: list | None = None):
+        _Record.__init__(self, ok, [] if failures is None else failures)
 
     def to_json(self):
         return {"verified": self.ok, "failures": list(self.failures)}

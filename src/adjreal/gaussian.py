@@ -173,9 +173,6 @@ class GaussRat:
     def inverse(self) -> "GaussRat":
         return GaussRat.from_int(1) / self
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     def norm(self):
         """Field norm re^2 + im^2, an exact rational."""
         return self.re * self.re + self.im * self.im

@@ -25,22 +25,23 @@ by the gcd of its numbers once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import SelfCheckFailed, SizeMismatch
+from .errors import SelfCheckFailed, SizeMismatch, _FrozenRecord
 from .gaussian import GaussRat, _cleared, rational
 from .matrix import ExactMatrix, char_poly, eval_poly
 from .polynomial import ExactPoly, poly_xgcd, squarefree_part
 
 
-@dataclass(frozen=True)
-class JordanPair:
+class JordanPair(_FrozenRecord):
     """X = semisimple_part + nilpotent_part with witness_poly(X) equal to
     the semisimple part; both parts commute and are polynomials in X."""
 
-    semisimple_part: ExactMatrix
-    nilpotent_part: ExactMatrix
-    witness_poly: ExactPoly
+    __slots__ = ("semisimple_part", "nilpotent_part", "witness_poly")
+
+    def __init__(
+        self, semisimple_part: ExactMatrix, nilpotent_part: ExactMatrix, witness_poly: ExactPoly
+    ):
+        _FrozenRecord.__init__(self, semisimple_part, nilpotent_part, witness_poly)
 
     def to_json(self):
         return {

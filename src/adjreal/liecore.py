@@ -12,9 +12,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import AlgebraMismatch, ParseError, SizeMismatch
+from .errors import AlgebraMismatch, ParseError, SizeMismatch, _FrozenRecord
 from .gaussian import ONE, ZERO, GaussRat
 from .matrix import ExactMatrix, det, json_int, kernel
 
@@ -31,25 +29,21 @@ _COMPATIBLE = {
 PROJECTIVE_GROUPS = ("PSL", "PSp")
 
 
-@dataclass(frozen=True)
-class LieContext:
+class LieContext(_FrozenRecord):
     """Ambient algebra, acting group, and rank parameter."""
 
-    algebra: str
-    group: str
-    n: int
+    __slots__ = ("algebra", "group", "n")
 
-    def __post_init__(self):
-        if self.algebra not in ALGEBRAS:
-            raise ParseError(f"unknown algebra {self.algebra!r}")
-        if self.group not in GROUPS:
-            raise ParseError(f"unknown group {self.group!r}")
-        if self.group not in _COMPATIBLE[self.algebra]:
-            raise ParseError(
-                f"group {self.group} does not act on algebra {self.algebra}"
-            )
-        if self.n < 1:
+    def __init__(self, algebra: str, group: str, n: int):
+        if algebra not in ALGEBRAS:
+            raise ParseError(f"unknown algebra {algebra!r}")
+        if group not in GROUPS:
+            raise ParseError(f"unknown group {group!r}")
+        if group not in _COMPATIBLE[algebra]:
+            raise ParseError(f"group {group} does not act on algebra {algebra}")
+        if n < 1:
             raise ParseError("rank parameter must be >= 1")
+        _FrozenRecord.__init__(self, algebra, group, n)
 
     @property
     def matrix_size(self) -> int:
@@ -168,8 +162,7 @@ def group_member(g: ExactMatrix, ctx: LieContext) -> bool:
     return group_failure(g, ctx) is None
 
 
-@dataclass(frozen=True)
-class CanonicalSemisimple:
+class CanonicalSemisimple(_FrozenRecord):
     """Canonical diagonal/block data for a semisimple element.
 
     * gl/sl: ``values`` is the full eigenvalue list (h_1, ..., h_n);
@@ -179,25 +172,17 @@ class CanonicalSemisimple:
     * sp:    ``values`` is (h_1, ..., h_n) for diag(h, -h).
     """
 
-    algebra: str
-    values: tuple
-    zero_block: int = 0
+    __slots__ = ("algebra", "values", "zero_block")
 
-    def __post_init__(self):
-        if self.algebra not in ALGEBRAS:
-            raise ParseError(f"unknown algebra {self.algebra!r}")
-        if self.algebra != "so" and self.zero_block:
+    def __init__(self, algebra: str, values: tuple, zero_block: int = 0):
+        if algebra not in ALGEBRAS:
+            raise ParseError(f"unknown algebra {algebra!r}")
+        if algebra != "so" and zero_block:
             raise ParseError("zero_block is only meaningful for so")
-        if self.zero_block < 0:
+        if zero_block < 0:
             raise ParseError("zero_block must be >= 0")
-        object.__setattr__(
-            self,
-            "values",
-            tuple(
-                v if isinstance(v, GaussRat) else GaussRat.from_int(v)
-                for v in self.values
-            ),
-        )
+        values = tuple(v if isinstance(v, GaussRat) else GaussRat.from_int(v) for v in values)
+        _FrozenRecord.__init__(self, algebra, values, zero_block)
 
     @property
     def matrix_size(self) -> int:

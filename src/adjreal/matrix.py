@@ -190,11 +190,6 @@ class ExactMatrix:
     def to_lists(self):
         return [self.row_list(i) for i in range(self.rows)]
 
-    def with_entry(self, i: int, j: int, value: GaussRat) -> "ExactMatrix":
-        flat = list(self.entries)
-        flat[i * self.cols + j] = value
-        return ExactMatrix(self.rows, self.cols, flat)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

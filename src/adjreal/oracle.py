@@ -17,7 +17,6 @@ says no reverser exists whose coefficients come from the height pool.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .certificates import ReverserCertificate, verify_certificate
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     SearchSpaceTooLarge,
     SelfCheckFailed,
     SpectrumNotSplit,
+    _Record,
 )
 from .gaussian import GaussRat, ONE, ZERO, rational
 from .liecore import LieContext, algebra_member, reverser_linear_space
@@ -199,13 +199,18 @@ def _scan_pool(height: int, count, limit: int, message: str, read: bool):
     return height_pool(height)
 
 
-@dataclass
-class SearchOutcome:
-    found: bool
-    certificate: ReverserCertificate | None
-    height: int
-    candidates_checked: int
-    note: str
+class SearchOutcome(_Record):
+    __slots__ = ("found", "certificate", "height", "candidates_checked", "note")
+
+    def __init__(
+        self,
+        found: bool,
+        certificate: ReverserCertificate | None,
+        height: int,
+        candidates_checked: int,
+        note: str,
+    ):
+        _Record.__init__(self, found, certificate, height, candidates_checked, note)
 
     def to_json(self):
         return {
@@ -404,10 +409,11 @@ def search_reverser(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ObstructionRecord:
-    name: str
-    checks: list = field(default_factory=list)
+class ObstructionRecord(_Record):
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str, checks: list | None = None):
+        _Record.__init__(self, name, [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

@@ -47,14 +47,6 @@ class ExactPoly:
     def x_power(k: int, coeff: GaussRat = ONE) -> "ExactPoly":
         return ExactPoly((ZERO,) * k + (coeff,))
 
-    @staticmethod
-    def from_roots(roots) -> "ExactPoly":
-        """Monic product of (x - r) over the given roots."""
-        p = ExactPoly.one()
-        for r in roots:
-            p = p * ExactPoly((-r, ONE))
-        return p
-
     # -- basic structure ---------------------------------------------------
 
     def degree(self) -> int:

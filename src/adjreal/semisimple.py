@@ -27,7 +27,6 @@ ProjectiveAlwaysStrong.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .certificates import ReverserCertificate, verify_certificate
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
     SelfCheckFailed,
     SizeMismatch,
     SpectrumNotSplit,
+    _FrozenRecord,
 )
 from .gaussian import I, ONE, ZERO, GaussRat
 from .liecore import (
@@ -63,12 +63,17 @@ NO = "no"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class RealityVerdict:
-    is_real: str
-    is_strongly_real: str
-    reason: str
-    witness: ReverserCertificate | None = None
+class RealityVerdict(_FrozenRecord):
+    __slots__ = ("is_real", "is_strongly_real", "reason", "witness")
+
+    def __init__(
+        self,
+        is_real: str,
+        is_strongly_real: str,
+        reason: str,
+        witness: ReverserCertificate | None = None,
+    ):
+        _FrozenRecord.__init__(self, is_real, is_strongly_real, reason, witness)
 
     def to_json(self):
         return {

@@ -16,8 +16,6 @@ semisimple part has eigenvalues outside Q(i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certificates import ReverserCertificate
 from .errors import (
     AlgebraMismatch,
@@ -27,6 +25,7 @@ from .errors import (
     SizeMismatch,
     SpectrumNotSplit,
     ZeroElement,
+    _FrozenRecord,
 )
 from .gaussian import I, ONE, ZERO, GaussRat, rational
 from .jordan import jordan_chevalley
@@ -66,29 +65,13 @@ def _commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a * b - b * a
 
 
-def sp_basis(n: int):
-    """Deterministic basis of sp(n): blocks [[A, B], [C, -A^t]] with B, C
-    symmetric."""
-    size = 2 * n
-    units = [((p, q), (n + q, n + p), -ONE) for p in range(n) for q in range(n)]
-    units += [((p, n + q), (q, n + p), ONE) for p in range(n) for q in range(p, n)]
-    units += [((n + p, q), (n + q, p), ONE) for p in range(n) for q in range(p, n)]
-    out = []
-    for (i, j), (k, l), c in units:
-        flat = [ZERO] * (size * size)
-        flat[k * size + l] = c
-        flat[i * size + j] = ONE
-        out.append(ExactMatrix(size, size, flat))
-    return out
-
-
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(_FrozenRecord):
     """{X, H, Y} with [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H, all in sp."""
 
-    x: ExactMatrix
-    h: ExactMatrix
-    y: ExactMatrix
+    __slots__ = ("x", "h", "y")
+
+    def __init__(self, x: ExactMatrix, h: ExactMatrix, y: ExactMatrix):
+        _FrozenRecord.__init__(self, x, h, y)
 
     def validate(self):
         ctx = LieContext("sp", "Sp", self.x.rows // 2)
@@ -113,8 +96,7 @@ class Sl2Triple:
 _PAIR_BLOCK = ExactMatrix.from_rows([[0, 1], [-1, 0]])
 
 
-@dataclass(frozen=True)
-class SymplecticChainData:
+class SymplecticChainData(_FrozenRecord):
     """A chain basis of C^{2n} for a nilpotent X in sp(n).
 
     parts: distinct chain lengths d, descending; counts[d] = t_d;
@@ -131,14 +113,20 @@ class SymplecticChainData:
     elsewhere, and B^-1 = Q^-1 B^t J.
     """
 
-    n: int
-    x: ExactMatrix
-    parts: tuple
-    counts: dict
-    heads: dict
-    gram: dict
-    basis: ExactMatrix
-    basis_inverse: ExactMatrix
+    __slots__ = ("n", "x", "parts", "counts", "heads", "gram", "basis", "basis_inverse")
+
+    def __init__(
+        self,
+        n: int,
+        x: ExactMatrix,
+        parts: tuple,
+        counts: dict,
+        heads: dict,
+        gram: dict,
+        basis: ExactMatrix,
+        basis_inverse: ExactMatrix,
+    ):
+        _FrozenRecord.__init__(self, n, x, parts, counts, heads, gram, basis, basis_inverse)
 
     def partition(self):
         """Chain lengths with multiplicity: the partition of 2n."""

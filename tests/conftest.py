@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from adjreal.gaussian import ONE, ZERO, GaussRat
 from adjreal.liecore import LieContext
 from adjreal.matrix import ExactMatrix
+from adjreal.polynomial import ExactPoly
 
 
 @pytest.fixture
@@ -31,6 +32,37 @@ SMALL_SCALARS = [
 
 def random_scalar(rng, pool=SMALL_SCALARS):
     return rng.choice(pool)
+
+
+def from_roots(roots) -> ExactPoly:
+    """Monic product of (x - r) over the given roots."""
+    p = ExactPoly.one()
+    for r in roots:
+        p = p * ExactPoly((-r, ONE))
+    return p
+
+
+def with_entry(m: ExactMatrix, i: int, j: int, value: GaussRat) -> ExactMatrix:
+    """m with entry (i, j) replaced by value."""
+    flat = list(m.entries)
+    flat[i * m.cols + j] = value
+    return ExactMatrix(m.rows, m.cols, flat)
+
+
+def sp_basis(n: int):
+    """Deterministic basis of sp(n): blocks [[A, B], [C, -A^t]] with B, C
+    symmetric."""
+    size = 2 * n
+    units = [((p, q), (n + q, n + p), -ONE) for p in range(n) for q in range(n)]
+    units += [((p, n + q), (q, n + p), ONE) for p in range(n) for q in range(p, n)]
+    units += [((n + p, q), (n + q, p), ONE) for p in range(n) for q in range(p, n)]
+    out = []
+    for (i, j), (k, l), c in units:
+        flat = [ZERO] * (size * size)
+        flat[k * size + l] = c
+        flat[i * size + j] = ONE
+        out.append(ExactMatrix(size, size, flat))
+    return out
 
 
 @st.composite
@@ -59,6 +91,6 @@ def conjugated_jordan_matrices(draw, min_size=0, max_size=8):
     for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
         i, j = draw(st.permutations(range(n)))[:2]
         c = draw(st.sampled_from(SMALL_SCALARS[1:]))
-        t = ExactMatrix.identity(n).with_entry(i, j, c)
-        x = t * x * ExactMatrix.identity(n).with_entry(i, j, -c)
+        t = with_entry(ExactMatrix.identity(n), i, j, c)
+        x = t * x * with_entry(ExactMatrix.identity(n), i, j, -c)
     return x

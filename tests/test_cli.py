@@ -48,6 +48,18 @@ def test_decide_negative_exit_code(tmp_path, capsys):
     assert payload["real"] == "no"
 
 
+def test_size_mismatch_message_shows_the_context_repr(capsys):
+    """The one place a class repr reaches CLI output: the context in the
+    SizeMismatch message."""
+    x = json.dumps(ExactMatrix.identity(3).to_json())
+    code, payload = _run_main(capsys, ["decide", "--ctx", SL2_CTX, "--matrix", x])
+    assert code == 2
+    assert payload == {
+        "error": "SizeMismatch",
+        "message": "expected a 2x2 matrix for LieContext(algebra='sl', group='SL', n=2)",
+    }
+
+
 def test_witness_then_verify_same_process(tmp_path, capsys):
     mfile = _matrix_file(
         tmp_path, "h.json", ExactMatrix.diagonal([gr(1), gr(2), gr(-1), gr(-2)])
@@ -264,6 +276,11 @@ _NOT_LOADED = {
     "witness": {"acceptance", "oracle", "symplectic", "jordan"},
     "verify": {"acceptance", "oracle", "symplectic", "jordan"},
     "reverse": {"acceptance", "oracle"},
+    "jordan": {"acceptance", "oracle", "symplectic", "semisimple", "liecore"},
+    "sl2": {"acceptance", "oracle"},
+    "chains": {"acceptance", "oracle"},
+    "search": {"acceptance", "symplectic", "semisimple", "jordan"},
+    "selftest": set(),
     "--help": {"semisimple"},
 }
 
@@ -273,7 +290,8 @@ from adjreal.cli import main
 code = None  # --help exits from inside main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("adjreal"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("adjreal")),
+                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
 """
 
 
@@ -281,6 +299,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("adjreal")
 def test_each_command_loads_only_its_modules(command, tmp_path, capsys):
     sl4 = '{"algebra":"sl","group":"SL","n":4}'
     h4 = json.dumps(ExactMatrix.diagonal([gr(1), gr(2), gr(-1), gr(-2)]).to_json())
+    n22 = json.dumps(nilpotent_from_partition([2, 2]).to_json())
     cert = str(tmp_path / "cert.json")
     assert main(["witness", "--ctx", sl4, "--matrix", h4, "--out", cert]) == 0
     capsys.readouterr()
@@ -288,15 +307,21 @@ def test_each_command_loads_only_its_modules(command, tmp_path, capsys):
         "decide": ["decide", "--ctx", sl4, "--matrix", h4],
         "witness": ["witness", "--ctx", sl4, "--matrix", h4],
         "verify": ["verify", cert],
-        "reverse": ["reverse", "--matrix", json.dumps(nilpotent_from_partition([2, 2]).to_json())],
+        "reverse": ["reverse", "--matrix", n22],
+        "jordan": ["jordan", "--matrix", n22],
+        "sl2": ["sl2", "--matrix", n22],
+        "chains": ["chains", "--matrix", n22],
+        "search": ["search", "--ctx", sl4, "--matrix", h4, "--height", "1"],
+        "selftest": ["selftest", "--criterion", "4"],
         "--help": ["--help"],
     }[command]
     run = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER, *argv], capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
-    code, modules = json.loads(run.stdout)
+    code, modules, slow_imports = json.loads(run.stdout)
     assert code == (None if command == "--help" else 0)
+    assert slow_imports == []  # dataclasses pulls in inspect, ast, dis, tokenize
     loaded = {name.removeprefix("adjreal.") for name in modules}
     assert "cli" in loaded
     assert loaded.isdisjoint(_NOT_LOADED[command])

@@ -37,7 +37,7 @@ def test_additive_and_multiplicative_inverses(a):
 
 @given(gauss_rats())
 def test_norm_is_multiplicative_with_conjugate(a):
-    assert a * a.conjugate() == GaussRat(a.norm(), 0)
+    assert a * GaussRat(a.re, -a.im) == GaussRat(a.norm(), 0)
 
 
 @given(gauss_rats())

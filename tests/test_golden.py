@@ -20,6 +20,8 @@ import pytest
 
 from adjreal.cli import main
 
+from conftest import with_entry
+
 DATA = pathlib.Path(__file__).with_name("golden_cli.json")
 
 
@@ -65,7 +67,7 @@ def _build_cases():
             if i == j:
                 j = (j + 1) % n
             c = ONE if k % 2 == 0 else -ONE
-            e = ExactMatrix.identity(n).with_entry(i, j, c)
+            e = with_entry(ExactMatrix.identity(n), i, j, c)
             x = e * x * inverse(e)
         return x
 

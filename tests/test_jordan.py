@@ -19,6 +19,8 @@ from adjreal.oracle import height_pool
 from adjreal.polynomial import ExactPoly
 from adjreal.symplectic import mixed_from_partition, symplectic_partitions
 
+from conftest import with_entry
+
 
 def test_unipotent_block():
     x = ExactMatrix.from_rows([[1, 1], [0, 1]])
@@ -200,8 +202,8 @@ def _conjugated(x, rng, coefficients=(ONE, -ONE, I)):
     for _ in range(n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice(coefficients)
-        t = ExactMatrix.identity(n).with_entry(i, j, c)
-        x = t * x * ExactMatrix.identity(n).with_entry(i, j, -c)
+        t = with_entry(ExactMatrix.identity(n), i, j, c)
+        x = t * x * with_entry(ExactMatrix.identity(n), i, j, -c)
     return x
 
 

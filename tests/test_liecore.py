@@ -18,7 +18,7 @@ from adjreal.liecore import (
 )
 from adjreal.matrix import ExactMatrix, det, inverse
 
-from conftest import SMALL_SCALARS
+from conftest import SMALL_SCALARS, sp_basis, with_entry
 
 
 def test_context_compatibility():
@@ -145,8 +145,6 @@ def _random_group_element(rng, ctx):
         return m
     if ctx.group in ("Sp", "PSp"):
         # random products of symplectic shears I + t E with E in sp
-        from adjreal.symplectic import sp_basis
-
         basis = sp_basis(ctx.n)
         m = ExactMatrix.identity(n)
         for _ in range(3):
@@ -162,7 +160,7 @@ def _random_group_element(rng, ctx):
         if i == j:
             continue
         t = rng.choice([ONE, -ONE, I, gr(2)])
-        e = ExactMatrix.zeros(n).with_entry(i, j, t)
+        e = with_entry(ExactMatrix.zeros(n), i, j, t)
         m = m * (ExactMatrix.identity(n) + e)
     return m
 
@@ -248,7 +246,7 @@ def _near_misses(x):
     for i in range(x.rows):
         for j in range(x.cols):
             for c in (ONE, I):
-                yield x.with_entry(i, j, x[i, j] + c)
+                yield with_entry(x, i, j, x[i, j] + c)
 
 
 def test_algebra_member_matches_product_form(rng):
@@ -316,8 +314,6 @@ def test_group_failure_matches_product_form(rng):
 def _symplectic_candidates(draw):
     """A product of symplectic shears I + t E (E a square-zero element of
     the sp basis), a dense matrix, or either with one entry moved."""
-    from adjreal.symplectic import sp_basis
-
     n = draw(st.integers(1, 3))
     size = 2 * n
     if draw(st.booleans()):
@@ -331,7 +327,7 @@ def _symplectic_candidates(draw):
             st.sampled_from(SMALL_SCALARS), min_size=size * size, max_size=size * size)))
     if draw(st.booleans()):
         i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
-        g = g.with_entry(i, j, g[i, j] + draw(st.sampled_from(SMALL_SCALARS[1:])))
+        g = with_entry(g, i, j, g[i, j] + draw(st.sampled_from(SMALL_SCALARS[1:])))
     return n, g
 
 

@@ -38,7 +38,7 @@ from adjreal.oracle import (
 )
 from adjreal.polynomial import ExactPoly, poly_gcd, poly_lcm
 
-from conftest import SMALL_SCALARS, conjugated_jordan_matrices
+from conftest import SMALL_SCALARS, conjugated_jordan_matrices, with_entry
 from test_semisimple import _J2, _ROOT2, _companion, _dense_sl
 
 
@@ -59,7 +59,7 @@ def test_rcf_conjugation_invariance(rng):
         for _ in range(3):
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
-                p = p * ExactMatrix.identity(n).with_entry(i, j, rng.choice([ONE, -ONE, I]))
+                p = p * with_entry(ExactMatrix.identity(n), i, j, rng.choice([ONE, -ONE, I]))
         assert rcf_similar(p * a * inverse(p), a)
 
 

@@ -16,6 +16,8 @@ from adjreal.polynomial import (
     squarefree_roots,
 )
 
+from conftest import from_roots
+
 X = ExactPoly.x_power(1)
 ONE_P = ExactPoly.one()
 
@@ -131,7 +133,7 @@ def test_squarefree_part_is_squarefree(p):
 
 
 def test_squarefree_decomposition_rebuilds_input():
-    p = ExactPoly.from_roots([ONE, ONE, -ONE, I, I, I])
+    p = from_roots([ONE, ONE, -ONE, I, I, I])
     parts = squarefree_decomposition(p)
     rebuilt = ExactPoly.one()
     for f, m in parts:
@@ -170,21 +172,21 @@ def test_linear_roots_irrational_cofactor():
 
 def test_linear_roots_multiplicity_and_reexpansion():
     r = gr("1/2") + gr(0, 3)
-    p = ExactPoly.from_roots([r, r, -I]) * (X * X - ExactPoly.constant(gr(2)))
+    p = from_roots([r, r, -I]) * (X * X - ExactPoly.constant(gr(2)))
     p = p.scale(gr(0, 2))  # non-monic leading unit
     roots, cof = linear_roots(p)
     assert sorted(map(str, roots)) == sorted([str(r), str(r), "-1*i"])
-    assert ExactPoly.from_roots(roots) * cof == p
+    assert from_roots(roots) * cof == p
 
 
 @given(st.lists(st.sampled_from([0, 1, -1, 2, -3]), min_size=1, max_size=4))
 @settings(max_examples=40)
 def test_linear_roots_reexpansion_on_split_polys(root_ints):
     roots = [GaussRat.from_int(k) for k in root_ints]
-    p = ExactPoly.from_roots(roots)
+    p = from_roots(roots)
     found, cof = linear_roots(p)
     assert cof.degree() == 0
-    assert ExactPoly.from_roots(found) * cof == p
+    assert from_roots(found) * cof == p
     assert sorted(found, key=GaussRat.lex_key) == sorted(roots, key=GaussRat.lex_key)
 
 
@@ -202,7 +204,7 @@ def test_squarefree_roots_are_the_distinct_linear_roots(roots, cofactor, lead):
         cofactor = ONE_P
     p = cofactor.scale(lead)
     for a, b, d, mult in roots:
-        p = p * ExactPoly.from_roots([GaussRat(rational(a, d), rational(b, d))] * mult)
+        p = p * from_roots([GaussRat(rational(a, d), rational(b, d))] * mult)
     found, _ = linear_roots(p)
     assert squarefree_roots(squarefree_part(p)) == sorted(set(found), key=GaussRat.lex_key)
 
@@ -260,18 +262,18 @@ _SQRT2 = X * X - ExactPoly.constant(gr(2))
 @pytest.mark.parametrize(
     "p",
     [
-        ExactPoly.from_roots([gr(3), gr(-1)]) * _SQRT2,
-        ExactPoly.from_roots([gr("1/2"), gr(0, 2)]) * (X * X + X + ONE_P),
-        ExactPoly.from_roots([gr(2), gr(-3)]).scale(gr(6)),
-        ExactPoly.from_roots([gr("2/3"), gr(1, 1)]).scale(gr(0, 3)),
-        ExactPoly.from_roots([gr(1, -2)]).scale(gr(2, 1)) * _SQRT2,
-        ExactPoly.from_roots([gr(2), gr(2), gr(2), gr(-1), gr(0, 1), gr(0, 1)]),
-        ExactPoly.from_roots([ZERO, ZERO, gr("-5/2"), gr("-5/2")]),
+        from_roots([gr(3), gr(-1)]) * _SQRT2,
+        from_roots([gr("1/2"), gr(0, 2)]) * (X * X + X + ONE_P),
+        from_roots([gr(2), gr(-3)]).scale(gr(6)),
+        from_roots([gr("2/3"), gr(1, 1)]).scale(gr(0, 3)),
+        from_roots([gr(1, -2)]).scale(gr(2, 1)) * _SQRT2,
+        from_roots([gr(2), gr(2), gr(2), gr(-1), gr(0, 1), gr(0, 1)]),
+        from_roots([ZERO, ZERO, gr("-5/2"), gr("-5/2")]),
         # roots at the bound: |3+4i| = 5 = B, and for (x-4)(x+2) both
         # Fujiwara terms are 4 = |4|
-        ExactPoly.from_roots([gr(3, 4)]),
-        ExactPoly.from_roots([gr(4), gr(-2)]),
-        ExactPoly.from_roots([gr(-7)]).scale(gr(3)),
+        from_roots([gr(3, 4)]),
+        from_roots([gr(4), gr(-2)]),
+        from_roots([gr(-7)]).scale(gr(3)),
         _SQRT2 * _SQRT2,
     ],
     ids=[
@@ -295,7 +297,7 @@ def test_bounded_root_search_matches_full_divisor_search(p):
 def test_bounded_root_search_matches_full_divisor_search_random(roots, cofactor, lead):
     if cofactor.is_zero():
         cofactor = ONE_P
-    p = ExactPoly.from_roots(
+    p = from_roots(
         [GaussRat(rational(a, d), rational(b, d)) for a, b, d in roots]
     ) * cofactor.scale(lead)
     assert linear_roots(p) == _full_divisor_linear_roots(p)

@@ -43,7 +43,7 @@ from adjreal.semisimple import (
     witness_semisimple,
 )
 
-from conftest import SMALL_SCALARS, conjugated_jordan_matrices
+from conftest import SMALL_SCALARS, conjugated_jordan_matrices, from_roots, with_entry
 
 SL2 = LieContext("sl", "SL", 2)
 SL4 = LieContext("sl", "SL", 4)
@@ -242,12 +242,10 @@ def test_general_witness_conjugated_symplectic():
     # conjugate a canonical element by a symplectic shear and re-derive
     n = 2
     x0 = ExactMatrix.diagonal([gr(2), gr(2), gr(-2), gr(-2)])
-    shear = ExactMatrix.identity(4).with_entry(0, 3, gr(3)).with_entry(1, 2, gr(3))
+    shear = with_entry(with_entry(ExactMatrix.identity(4), 0, 3, gr(3)), 1, 2, gr(3))
     # make it symplectic: [[I, B], [0, I]] with B symmetric is in Sp
     assert shear.transpose() * jn_matrix(n) * shear == jn_matrix(n)
-    x = shear * x0 * ExactMatrix.identity(4).with_entry(0, 3, gr(-3)).with_entry(
-        1, 2, gr(-3)
-    )
+    x = shear * x0 * with_entry(with_entry(ExactMatrix.identity(4), 0, 3, gr(-3)), 1, 2, gr(-3))
     cert = witness_general_semisimple(x, SP2, True)
     assert verify_certificate(cert).ok
     assert cert.reverser * cert.reverser == ExactMatrix.identity(4)
@@ -322,7 +320,7 @@ def test_general_witness_sp_with_kernel_and_multiplicity():
     n = 3
     shear = ExactMatrix.identity(6)
     for i, j, v in ((0, n + 1, gr(2)), (1, n + 0, gr(2)), (2, n + 2, gr(1))):
-        shear = shear.with_entry(i, j, v)
+        shear = with_entry(shear, i, j, v)
     assert shear.transpose() * jn_matrix(n) * shear == jn_matrix(n)
     from adjreal.matrix import inverse as minv
 
@@ -485,7 +483,7 @@ def test_sp_verdict_takes_gcd_of_chi_and_derivative_once(monkeypatch, capsys, co
 def test_nonzero_multiplicities_even_agrees_with_yun(roots, irrational, expected):
     """The square test of the Sp verdict agrees with the squarefree
     decomposition, also on a factor t^2 - 2 without roots in Q(i)."""
-    chi = polynomial.ExactPoly.from_roots([gr(r) for r in roots])
+    chi = from_roots([gr(r) for r in roots])
     for _ in range(irrational):
         chi = chi * polynomial.ExactPoly((gr(-2), ZERO, ONE))
     t = polynomial.ExactPoly((ZERO, ONE))
@@ -874,7 +872,7 @@ def _reference_witness_projective_linear(values):
         return _dense_rotation_reverser(n, pairs + zero_pairs)
     mat = _dense_rotation_reverser(n, pairs)
     for z in zeros:
-        mat = mat.with_entry(z, z, I)
+        mat = with_entry(mat, z, z, I)
     return mat.scale(I ** (((-(len(zeros) % 4)) * pow(n, -1, 4)) % 4))
 
 

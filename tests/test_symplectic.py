@@ -1,6 +1,5 @@
 """sl2-triples, chain data, the sigma/tau factors, and full reversal."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -25,6 +24,7 @@ from adjreal.matrix import ExactMatrix, _signed_conjugate, det, inverse, solve_l
 from adjreal.semisimple import _symplectic_pairs
 from adjreal.symplectic import (
     Sl2Triple,
+    SymplecticChainData,
     _form_relative_reverser,
     _model_form_and_shift,
     build_sigma,
@@ -35,9 +35,10 @@ from adjreal.symplectic import (
     restrict_semisimple,
     reverse_full,
     sl2_triple,
-    sp_basis,
     symplectic_partitions,
 )
+
+from conftest import sp_basis
 
 
 def test_sp_basis_dimension():
@@ -161,11 +162,14 @@ def test_validate_raises_typed_error_under_optimize():
     a reverser composed from a wrong B^-1 (here 2 B^-1, so g = 2 sigma
     still negates X but is not symplectic)."""
     code = (
-        "import dataclasses\n"
         "from adjreal import symplectic\n"
         "from adjreal.errors import SelfCheckFailed\n"
         "from adjreal.symplectic import (\n"
-        "    Sl2Triple, chain_decomposition, nilpotent_from_partition, sl2_triple)\n"
+        "    Sl2Triple, SymplecticChainData, chain_decomposition,\n"
+        "    nilpotent_from_partition, sl2_triple)\n"
+        "def with_basis(cd, basis, basis_inverse):\n"
+        "    return SymplecticChainData(\n"
+        "        cd.n, cd.x, cd.parts, cd.counts, cd.heads, cd.gram, basis, basis_inverse)\n"
         "t = sl2_triple(nilpotent_from_partition([2]))\n"
         "bad = Sl2Triple(t.x, t.h.scale(2), t.y)\n"
         "try:\n"
@@ -174,7 +178,7 @@ def test_validate_raises_typed_error_under_optimize():
         "    print(__debug__, 'SelfCheckFailed', exc)\n"
         "cd = chain_decomposition(nilpotent_from_partition([2, 2]))\n"
         "try:\n"
-        "    dataclasses.replace(cd, basis=cd.basis.scale(2)).validate()\n"
+        "    with_basis(cd, cd.basis.scale(2), cd.basis_inverse).validate()\n"
         "except SelfCheckFailed as exc:\n"
         "    print(__debug__, 'SelfCheckFailed', exc)\n"
         "try:\n"
@@ -183,7 +187,7 @@ def test_validate_raises_typed_error_under_optimize():
         "    print(__debug__, 'SelfCheckFailed', exc)\n"
         "def doubled_inverse(xn, xs):\n"
         "    cd = chain_decomposition(xn, xs)\n"
-        "    return dataclasses.replace(cd, basis_inverse=cd.basis_inverse.scale(2))\n"
+        "    return with_basis(cd, cd.basis, cd.basis_inverse.scale(2))\n"
         "symplectic.chain_decomposition = doubled_inverse\n"
         "try:\n"
         "    symplectic.reverse_full(nilpotent_from_partition([2, 2]))\n"
@@ -555,8 +559,8 @@ def _rechosen_heads(cd, d, t):
     )
     gram = dict(cd.gram)
     gram[d] = t.transpose() * cd.gram[d] * t
-    return dataclasses.replace(
-        cd, gram=gram, basis=cd.basis * m, basis_inverse=inverse(m) * cd.basis_inverse
+    return SymplecticChainData(
+        cd.n, cd.x, cd.parts, cd.counts, cd.heads, gram, cd.basis * m, inverse(m) * cd.basis_inverse
     )
 
 

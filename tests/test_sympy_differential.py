@@ -39,7 +39,7 @@ from adjreal.symplectic import (  # noqa: E402
     nilpotent_from_partition,
     symplectic_partitions,
 )
-from conftest import conjugated_jordan_matrices  # noqa: E402
+from conftest import conjugated_jordan_matrices, from_roots  # noqa: E402
 
 # zero, real, purely imaginary and mixed entries of low height
 ENTRIES = [
@@ -137,7 +137,7 @@ def test_linear_roots_match_sympy_linear_factors(roots, cofactor, lead):
     sympy's linear factors over QQ_I, and the cofactor is its leading
     coefficient times the other factors."""
     cofactor = ExactPoly(cofactor)
-    p = ExactPoly.from_roots(roots) * (cofactor if cofactor.coeffs else ExactPoly.one()).scale(lead)
+    p = from_roots(roots) * (cofactor if cofactor.coeffs else ExactPoly.one()).scale(lead)
     coeff, factors = Poly.from_list(
         [_to_qqi(c) for c in reversed(p.coeffs)], Symbol("t"), domain=QQ_I
     ).factor_list()
